@@ -83,15 +83,20 @@ class AttnParams:
 
 def init_attn_params(config: MMBAttnConfig, n_fields: int, d: int,
                      seed: int) -> AttnParams:
-    """Seeded Normal(0, 1/C) weights per branch (C = branch input width)."""
+    """Seeded Normal(0, 1/C) weights per branch (C = branch input width).
+
+    Weights are stored (in, out) like the tower's: ``w1`` is (C, h) and
+    ``w2`` is (h, C).  Each is drawn with shape (out, in), as earlier
+    releases stored it, and its axes are swapped, so initial values match.
+    """
 
     def make(branch: str, c: int) -> tuple[Tensor, Tensor]:
         h = hidden_width(c, config.reduction_ratio)
         std = 1.0 / np.sqrt(c)
         rng1 = np.random.default_rng(derive_seed(seed, f"init:attn.{branch}.w1"))
         rng2 = np.random.default_rng(derive_seed(seed, f"init:attn.{branch}.w2"))
-        w1 = Tensor(rng1.normal(0.0, std, size=(h, c)), requires_grad=True)
-        w2 = Tensor(rng2.normal(0.0, std, size=(c, h)), requires_grad=True)
+        w1 = Tensor(rng1.normal(0.0, std, size=(h, c)).T, requires_grad=True)
+        w2 = Tensor(rng2.normal(0.0, std, size=(c, h)).T, requires_grad=True)
         return w1, w2
 
     params = AttnParams()
@@ -114,9 +119,8 @@ def pool(g: Graph, e: Tensor, kind: str) -> Tensor:
 
 
 def branch_attention(g: Graph, s: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """sigmoid(relu(s · W1ᵀ) · W2ᵀ): per-field weights, strictly in (0, 1)."""
-    hidden = g.relu(g.matmul(s, g.transpose(w1)))
-    return g.sigmoid(g.matmul(hidden, g.transpose(w2)))
+    """sigmoid(relu(s · W1) · W2): per-field weights, strictly in (0, 1)."""
+    return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1)), w2))
 
 
 def mm_combine(g: Graph, w_max: Tensor | None, w_mean: Tensor | None) -> Tensor:
@@ -136,8 +140,7 @@ def mm_reweight(g: Graph, e: Tensor, w_mm: Tensor) -> Tensor:
 
 def bitwise_attention(g: Graph, e_flat: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """One weight per flattened embedding position: (B,F·d) -> (B,F·d)."""
-    hidden = g.relu(g.matmul(e_flat, g.transpose(w1)))
-    return g.sigmoid(g.matmul(hidden, g.transpose(w2)))
+    return g.sigmoid(g.matmul(g.relu(g.matmul(e_flat, w1)), w2))
 
 
 def apply_attention(g: Graph, e: Tensor, params: AttnParams | None,
@@ -180,11 +183,11 @@ def apply_attention(g: Graph, e: Tensor, params: AttnParams | None,
         return g.add(f_mm, f_bit)
 
     # paper_literal: combine the weight vectors first, apply them once.
-    ones = Tensor(np.ones((b, f, d)))
-    w_mm_flat = g.reshape(g.mul(ones, g.reshape(w_mm, (b, f, 1))), flat_shape)
-    f_bit = g.mul(w_mm_flat, w_bit)
-    w_total = g.add(w_mm_flat, f_bit)
-    return g.mul(g.reshape(e, flat_shape), w_total)
+    # W^MM broadcasts over the d positions of its field.
+    w_mm_col = g.reshape(w_mm, (b, f, 1))
+    f_bit = g.mul(g.reshape(w_bit, (b, f, d)), w_mm_col)
+    w_total = g.add(f_bit, w_mm_col)
+    return g.reshape(g.mul(e, w_total), flat_shape)
 
 
 def param_count(config: MMBAttnConfig | None, n_fields: int, d: int) -> int:

@@ -47,13 +47,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def assert_finite(self, context: str = "tensor") -> None:
-        if not np.isfinite(self.data).all():
-            raise ContractError(f"non-finite values in {context}")
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -103,21 +96,17 @@ class Graph:
 
     One graph per forward/backward pass.  Parameters are shared across
     graphs; each graph owns its intermediate tensors.  ``record=False``
-    runs ops forward-only (evaluation mode).  ``check_finite=True`` makes
-    any NaN/Inf op result raise immediately instead of propagating.
+    runs ops forward-only (evaluation mode).
     """
 
-    def __init__(self, record: bool = True, check_finite: bool = False):
+    def __init__(self, record: bool = True):
         self.record = record
-        self.check_finite = check_finite
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     # -- plumbing -----------------------------------------------------
 
     def _result(self, data, inputs: tuple[Tensor, ...],
                 backward: Callable[[np.ndarray], None]) -> Tensor:
-        if self.check_finite and not np.isfinite(data).all():
-            raise ContractError("non-finite op result")
         rg = self.record and any(t.requires_grad for t in inputs)
         out = Tensor(data, requires_grad=rg)
         if rg:
@@ -175,9 +164,6 @@ class Graph:
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         return self._elementwise(a, b, np.add, lambda g: g, lambda g: g)
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        return self._elementwise(a, b, np.subtract, lambda g: g, lambda g: -g)
-
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         return self._elementwise(a, b, np.multiply,
                                  lambda g: g * b.data, lambda g: g * a.data)
@@ -185,15 +171,6 @@ class Graph:
     def _check_axis(self, a: Tensor, axis: int) -> None:
         if not 0 <= axis < a.data.ndim:
             raise DimensionError(f"axis {axis} out of range for shape {a.shape}")
-
-    def reduce_sum(self, a: Tensor, axis: int) -> Tensor:
-        self._check_axis(a, axis)
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                accumulate_grad(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
-
-        return self._result(a.data.sum(axis=axis), (a,), backward)
 
     def reduce_mean(self, a: Tensor, axis: int) -> Tensor:
         self._check_axis(a, axis)
@@ -237,32 +214,6 @@ class Graph:
 
         return self._result(out_data, (a,), backward)
 
-    def concat(self, tensors: Sequence[Tensor], axis: int) -> Tensor:
-        parts = list(tensors)
-        if not parts:
-            raise DimensionError("concat of an empty tensor list")
-        rank = parts[0].data.ndim
-        if not 0 <= axis < rank:
-            raise DimensionError(f"axis {axis} out of range for rank {rank}")
-        for t in parts[1:]:
-            if t.data.ndim != rank or any(
-                    i != axis and t.shape[i] != parts[0].shape[i] for i in range(rank)):
-                raise DimensionError(
-                    f"concat shapes incompatible along axis {axis}: "
-                    f"{[p.shape for p in parts]}")
-        sizes = [t.shape[axis] for t in parts]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-        def backward(g: np.ndarray) -> None:
-            for t, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl = [slice(None)] * rank
-                    sl[axis] = slice(int(start), int(stop))
-                    accumulate_grad(t, g[tuple(sl)])
-
-        return self._result(np.concatenate([t.data for t in parts], axis=axis),
-                            tuple(parts), backward)
-
     def reshape(self, a: Tensor, shape: Sequence[int]) -> Tensor:
         new_shape = tuple(int(s) for s in shape)
         if int(np.prod(new_shape, dtype=np.int64)) != a.size:
@@ -273,13 +224,3 @@ class Graph:
                 accumulate_grad(a, g.reshape(a.shape))
 
         return self._result(a.data.reshape(new_shape), (a,), backward)
-
-    def transpose(self, a: Tensor) -> Tensor:
-        if a.data.ndim != 2:
-            raise DimensionError(f"transpose needs a 2-d operand, got {a.shape}")
-
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                accumulate_grad(a, np.ascontiguousarray(g.T))
-
-        return self._result(a.data.T, (a,), backward)

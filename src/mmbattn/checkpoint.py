@@ -19,7 +19,9 @@ from .autograd import Tensor
 from .errors import CheckpointError, ContractError
 
 MAGIC = b"MMBC"
-VERSION = 1
+# Version 2 stores attention weights (in, out).  Version 1 files held them
+# (out, in); square weights would pass the shape check, so v1 is refused.
+VERSION = 2
 
 
 @dataclass

@@ -58,9 +58,10 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
                             train_b, valid_b, test_b, truth)
 
     schema = load_schema(cfg.path("data.schema"))
-    cache_dir = cfg.values["data.cache_dir"]
-    if cache_dir is not None:
-        cached = _load_cached(cfg, cache_dir, schema)
+    cache_paths = None
+    if cfg.values["data.cache_dir"] is not None:
+        cache_paths = _cache_paths(cfg)
+        cached = _load_cached(cfg, cache_paths, schema)
         if cached is not None:
             return cached
 
@@ -77,23 +78,34 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
     vocab = build_vocab_rows(header, parts[0], schema)
     splits = [encode_rows(header, rows, schema, vocab) for rows in parts]
     prepared = PreparedData(schema, vocab, *splits)
-    if cache_dir is not None:
-        _save_cached(cfg, cache_dir, prepared)
+    if cache_paths is not None:
+        _save_cached(cache_paths, prepared)
     return prepared
 
 
-def _cache_paths(cfg: RunConfig, cache_dir: str) -> dict[str, Path]:
+def _cache_paths(cfg: RunConfig) -> dict[str, Path]:
+    """Cache file per split, keyed on the data config and the bytes it names.
+
+    Hashing file contents, not only paths, makes a CSV or schema edited in
+    place miss the cache instead of reusing the stale encoding.
+    """
     import hashlib
 
-    data_lines = [line for line in cfg.canonical_lines()
-                  if line.startswith("data.") and not line.startswith("data.cache_dir")]
-    key = hashlib.sha256("\n".join(data_lines).encode()).hexdigest()[:16]
+    h = hashlib.sha256()
+    for line in cfg.canonical_lines():
+        if line.startswith("data.") and not line.startswith("data.cache_dir"):
+            h.update(line.encode() + b"\n")
+    for name in ("data.schema", "data.file", "data.train", "data.valid", "data.test"):
+        if cfg.values[name] is not None:
+            with open(cfg.path(name), "rb") as fh:
+                h.update(hashlib.file_digest(fh, "sha256").digest())
+    key = h.hexdigest()[:16]
+    cache_dir = cfg.values["data.cache_dir"]
     base = cfg.base_dir / cache_dir if not Path(cache_dir).is_absolute() else Path(cache_dir)
     return {split: base / f"{key}_{split}.mmbd" for split in ("train", "valid", "test")}
 
 
-def _load_cached(cfg, cache_dir, schema) -> PreparedData | None:
-    paths = _cache_paths(cfg, cache_dir)
+def _load_cached(cfg, paths, schema) -> PreparedData | None:
     if not all(p.exists() for p in paths.values()):
         return None
     # the vocab must come from the same rows the fresh path uses: the
@@ -109,8 +121,7 @@ def _load_cached(cfg, cache_dir, schema) -> PreparedData | None:
                         load_dataset(paths["valid"]), load_dataset(paths["test"]))
 
 
-def _save_cached(cfg, cache_dir, prepared: PreparedData) -> None:
-    paths = _cache_paths(cfg, cache_dir)
+def _save_cached(paths, prepared: PreparedData) -> None:
     next(iter(paths.values())).parent.mkdir(parents=True, exist_ok=True)
     save_dataset(prepared.train, paths["train"])
     save_dataset(prepared.valid, paths["valid"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import struct
@@ -87,10 +88,6 @@ class Vocabulary:
             out.append(len(m) + 1 if b is None else len(b) + 2)
         return out
 
-    @property
-    def total_features(self) -> int:
-        return sum(self.sizes)
-
     def index_of(self, field: int, raw: str) -> int:
         bounds = self.boundaries[field]
         if bounds is None:
@@ -114,7 +111,11 @@ class Vocabulary:
 
 @dataclass
 class Batch:
-    """Encoded index matrix (rows × fields) plus binary labels."""
+    """Encoded index matrix (rows × fields) plus binary labels.
+
+    The contract is checked once, when a batch is built from arrays;
+    ``take`` skips it, since rows selected from a valid batch are valid.
+    """
 
     indices: np.ndarray
     labels: np.ndarray
@@ -124,6 +125,11 @@ class Batch:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.indices.ndim != 2:
             raise ContractError("indices must be 2-d (rows × fields)")
+        kind = self.indices.dtype.kind
+        if kind not in "iu":
+            raise ContractError(f"indices must be integers, got dtype {self.indices.dtype}")
+        if kind == "i" and self.indices.size and self.indices.min() < 0:
+            raise ContractError("indices must be non-negative")
         if self.labels.shape != (self.indices.shape[0],):
             raise ContractError("labels length must match row count")
         if self.labels.size and not np.isin(self.labels, (0.0, 1.0)).all():
@@ -138,12 +144,10 @@ class Batch:
         return self.indices.shape[1]
 
     def take(self, sel) -> "Batch":
-        return Batch(self.indices[sel], self.labels[sel])
-
-    def validate_indices(self, vocab: Vocabulary) -> None:
-        for f, size in enumerate(vocab.sizes):
-            if self.n and int(self.indices[:, f].max()) >= size:
-                raise ContractError(f"index out of vocabulary range in field {f}")
+        out = copy.copy(self)
+        out.indices = self.indices[sel]
+        out.labels = self.labels[sel]
+        return out
 
     def digest(self) -> str:
         """Content digest of the encoded data (split-isolation checks, caching)."""

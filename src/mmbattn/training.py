@@ -139,7 +139,14 @@ class EvalReport:
 
 
 def eval_thread_count() -> int:
-    return max(1, int(os.environ.get(EVAL_THREADS_ENV, "1")))
+    raw = os.environ.get(EVAL_THREADS_ENV, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{EVAL_THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _shard_logits(model: Model, data: Batch, batch_size: int) -> np.ndarray:

@@ -8,7 +8,10 @@ from mmbattn.attention import (AttnParams, MMBAttnConfig, apply_attention,
                                init_attn_params, mm_combine, mm_reweight,
                                param_count, pool)
 from mmbattn.autograd import Graph, Tensor
+from mmbattn.data import CATEGORICAL, FieldSchema, Vocabulary
 from mmbattn.errors import ConfigError
+from mmbattn.model import TowerConfig, build
+from mmbattn.seeding import derive_seed
 
 
 def zero_params(n_fields, d, config):
@@ -17,14 +20,14 @@ def zero_params(n_fields, d, config):
     h_b = hidden_width(c_b, config.reduction_ratio)
     p = AttnParams()
     if config.use_max:
-        p.max_w1 = Tensor(np.zeros((h_f, n_fields)), requires_grad=True)
-        p.max_w2 = Tensor(np.zeros((n_fields, h_f)), requires_grad=True)
+        p.max_w1 = Tensor(np.zeros((n_fields, h_f)), requires_grad=True)
+        p.max_w2 = Tensor(np.zeros((h_f, n_fields)), requires_grad=True)
     if config.use_mean:
-        p.mean_w1 = Tensor(np.zeros((h_f, n_fields)), requires_grad=True)
-        p.mean_w2 = Tensor(np.zeros((n_fields, h_f)), requires_grad=True)
+        p.mean_w1 = Tensor(np.zeros((n_fields, h_f)), requires_grad=True)
+        p.mean_w2 = Tensor(np.zeros((h_f, n_fields)), requires_grad=True)
     if config.use_bitwise:
-        p.bit_w1 = Tensor(np.zeros((h_b, c_b)), requires_grad=True)
-        p.bit_w2 = Tensor(np.zeros((c_b, h_b)), requires_grad=True)
+        p.bit_w1 = Tensor(np.zeros((c_b, h_b)), requires_grad=True)
+        p.bit_w2 = Tensor(np.zeros((h_b, c_b)), requires_grad=True)
     return p
 
 
@@ -43,8 +46,8 @@ class TestPool:
         e = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
         g = Graph()
         s = pool(g, e, "mean")
-        g.backward(g.reduce_sum(g.reduce_sum(s, 1), 0))
-        assert np.allclose(e.grad, 1.0 / 3.0)
+        g.backward(g.reduce_mean(g.reduce_mean(s, 1), 0))
+        assert np.allclose(e.grad, 1.0 / 6.0)
 
 
 class TestBranchAttention:
@@ -65,10 +68,10 @@ class TestBranchAttention:
 
     def test_two_field_pencil_and_paper(self):
         # F=2, R=1, hidden width 2.
-        # hidden = relu(s · W1ᵀ) = relu([0.1+0.4, -0.3+0.8]) = [0.5, 0.5]
-        # pre-sigmoid = hidden · W2ᵀ = [0.25-0.05, 0.1+0.15] = [0.2, 0.25]
-        w1 = Tensor([[0.1, 0.2], [-0.3, 0.4]])
-        w2 = Tensor([[0.5, -0.1], [0.2, 0.3]])
+        # hidden = relu(s · W1) = relu([0.1+0.4, -0.3+0.8]) = [0.5, 0.5]
+        # pre-sigmoid = hidden · W2 = [0.25-0.05, 0.1+0.15] = [0.2, 0.25]
+        w1 = Tensor([[0.1, -0.3], [0.2, 0.4]])
+        w2 = Tensor([[0.5, 0.2], [-0.1, 0.3]])
         s = Tensor([[1.0, 2.0]])
         got = branch_attention(Graph(), s, w1, w2).data[0]
         want = [1 / (1 + math.exp(-0.2)), 1 / (1 + math.exp(-0.25))]
@@ -142,8 +145,8 @@ class TestBitwise:
         # F=1, d=2, R=1, hidden 2.
         # hidden = relu([0.3-0.25, -0.06-0.2]) = [0.05, 0]
         # pre-sigmoid = [0.05*0.6, 0.05*0.1] = [0.03, 0.005]
-        w1 = Tensor([[1.0, 0.5], [-0.2, 0.4]])
-        w2 = Tensor([[0.6, -0.3], [0.1, 0.8]])
+        w1 = Tensor([[1.0, -0.2], [0.5, 0.4]])
+        w2 = Tensor([[0.6, 0.1], [-0.3, 0.8]])
         x = Tensor([[0.3, -0.5]])
         got = bitwise_attention(Graph(), x, w1, w2).data[0]
         want = [1 / (1 + math.exp(-0.03)), 1 / (1 + math.exp(-0.005))]
@@ -160,7 +163,7 @@ class TestBitwise:
         q = np.array([4, 5, 2, 3, 0, 1])
         base = bitwise_attention(Graph(), Tensor(x), Tensor(w1), Tensor(w2)).data
         perm = bitwise_attention(Graph(), Tensor(x[:, q]),
-                                 Tensor(w1[:, q]), Tensor(w2[q, :])).data
+                                 Tensor(w1[q, :]), Tensor(w2[:, q])).data
         assert np.allclose(perm, base[:, q], atol=1e-12)
 
 
@@ -238,14 +241,14 @@ class TestApply:
         def loss_value():
             g = Graph(record=False)
             out = apply_attention(g, Tensor(e_data), params, cfg)
-            diff = g.sub(out, Tensor(target))
-            return float(g.reduce_mean(g.reduce_sum(g.mul(diff, diff), 1), 0).data)
+            diff = g.add(out, Tensor(-target))
+            return float(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0).data)
 
         g = Graph()
         e = Tensor(e_data, requires_grad=True)
         out = apply_attention(g, e, params, cfg)
-        diff = g.sub(out, Tensor(target))
-        g.backward(g.reduce_mean(g.reduce_sum(g.mul(diff, diff), 1), 0))
+        diff = g.add(out, Tensor(-target))
+        g.backward(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0))
 
         h = 1e-5
         for name, p in {**params.named(), "e": e}.items():
@@ -273,9 +276,9 @@ class TestApply:
         perm = np.array([2, 0, 1])
         bitperm = np.concatenate([np.arange(d) + q * d for q in perm])
         p2 = AttnParams(
-            max_w1=Tensor(p.max_w1.data[:, perm]), max_w2=Tensor(p.max_w2.data[perm, :]),
-            mean_w1=Tensor(p.mean_w1.data[:, perm]), mean_w2=Tensor(p.mean_w2.data[perm, :]),
-            bit_w1=Tensor(p.bit_w1.data[:, bitperm]), bit_w2=Tensor(p.bit_w2.data[bitperm, :]))
+            max_w1=Tensor(p.max_w1.data[perm, :]), max_w2=Tensor(p.max_w2.data[:, perm]),
+            mean_w1=Tensor(p.mean_w1.data[perm, :]), mean_w2=Tensor(p.mean_w2.data[:, perm]),
+            bit_w1=Tensor(p.bit_w1.data[bitperm, :]), bit_w2=Tensor(p.bit_w2.data[:, bitperm]))
         base = apply_attention(Graph(), Tensor(e), p, cfg).data
         permuted = apply_attention(Graph(), Tensor(e[:, perm, :]), p2, cfg).data
         assert np.allclose(permuted, base[:, bitperm], atol=1e-12)
@@ -310,3 +313,30 @@ class TestConfigAndCounts:
         # F=7, R=3: field branches 2 * (2 * 7 * 2) = 56; bit: C=28, h=9 -> 2*28*9=504
         cfg = MMBAttnConfig(reduction_ratio=3)
         assert param_count(cfg, 7, 4) == 2 * (2 * 7 * 2) + 2 * (28 * 9)
+
+
+class TestLayout:
+    def test_registry_weights_are_in_out(self):
+        f, d, r = 3, 2, 2
+        schema = FieldSchema(fields=tuple((f"f{i}", CATEGORICAL) for i in range(f)),
+                             label_column="y")
+        vocab = Vocabulary([{"a": 1}] * f, [None] * f)
+        model = build(schema, vocab, d, MMBAttnConfig(reduction_ratio=r),
+                      TowerConfig((4,)), seed=1)
+        for branch, c in (("max", f), ("mean", f), ("bit", f * d)):
+            h = hidden_width(c, r)
+            assert model.registry[f"attn.{branch}.w1"].shape == (c, h)
+            assert model.registry[f"attn.{branch}.w2"].shape == (h, c)
+
+    def test_initial_values_are_the_out_in_draw_with_axes_swapped(self):
+        f, d, r, seed = 3, 2, 2, 4
+        params = init_attn_params(MMBAttnConfig(reduction_ratio=r), f, d, seed)
+        for branch, c in (("max", f), ("mean", f), ("bit", f * d)):
+            h = hidden_width(c, r)
+            std = 1.0 / np.sqrt(c)
+            for part, shape in (("w1", (h, c)), ("w2", (c, h))):
+                rng = np.random.default_rng(derive_seed(seed, f"init:attn.{branch}.{part}"))
+                drawn = rng.normal(0.0, std, size=shape)
+                stored = getattr(params, f"{branch}_{part}").data
+                assert stored.flags["C_CONTIGUOUS"]
+                assert np.array_equal(stored, drawn.T)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,16 @@ class TestRejections:
         save_checkpoint(path, ablated.registry, DIGEST)
         with pytest.raises(CheckpointError, match="manifest"):
             restore_model(full, load_checkpoint(path), expected_digest=DIGEST)
+
+    def test_version_1_rejected_even_when_shapes_match(self, tmp_path):
+        # with R = 1 every branch weight is square, so a v1 file, which held
+        # them (out, in), would pass the shape check; the version must stop it
+        model = make_model(MMBAttnConfig(reduction_ratio=1))
+        assert all(t.shape[0] == t.shape[1] for name, t in model.registry.items()
+                   if name.startswith("attn."))
+        path = tmp_path / "model.mmbc"
+        save_checkpoint(path, model.registry, DIGEST)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from mmbattn import cli
 from mmbattn.autograd import Graph, accumulate_grad
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_metrics(path):
@@ -128,6 +132,19 @@ class TestEvaluateCommand:
         assert rc == 1
         assert "digest mismatch" in capsys.readouterr().err
 
+    def test_bad_eval_threads_env_exits_cleanly(self, tmp_path):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1", "train.max_epochs": "1"})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        env = {**os.environ, "MMBATTN_EVAL_THREADS": "two", "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "mmbattn.cli", "evaluate",
+                               "--config", str(cfg), "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "MMBATTN_EVAL_THREADS" in proc.stderr and "'two'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestAblateCommand:
     def test_six_rows_and_base_formatting(self, tmp_path, capsys):
@@ -188,7 +205,7 @@ class TestInspectCommand:
 
     def test_corrupt_file_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.mmbc"
-        bad.write_bytes(b"MMBC\x01\x00" + b"\0" * 8)
+        bad.write_bytes(b"MMBC\x02\x00" + b"\0" * 8)
         assert cli.main(["inspect-checkpoint", str(bad)]) == 1
         assert "truncated" in capsys.readouterr().err
 
@@ -357,3 +374,28 @@ class TestCsvPipeline:
         ca = (out_a / "seed_1" / "checkpoint.mmbc").read_bytes()
         cb = (out_b / "seed_1" / "checkpoint.mmbc").read_bytes()
         assert ca == cb
+
+    def test_cache_misses_after_csvs_rewritten_in_place(self, tmp_path):
+        cfg = self.write_csv_run(tmp_path)
+        plain = cfg.read_text()
+        cfg.write_text(plain + "data.cache_dir = cache\n")
+
+        def digests(out):
+            info = json.loads((out / "seed_1" / "run_info.json").read_text())
+            return info["data_digest"]
+
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        # new rows with the same vocabulary sizes, written over the same paths
+        spec = tmp_path / "other_synth.conf"
+        spec.write_text((CONFIGS / "tiny_synth.conf").read_text()
+                        .replace("synth.seed = 11", "synth.seed = 12"))
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "new")]) == 0
+        for split in ("train", "valid", "test"):
+            (tmp_path / "data" / f"{split}.csv").write_bytes(
+                (tmp_path / "new" / f"{split}.csv").read_bytes())
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        cfg.write_text(plain)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        stale, cached, fresh = (digests(tmp_path / k) for k in ("a", "b", "c"))
+        assert all(cached[k] != stale[k] for k in stale)
+        assert cached == fresh

@@ -109,7 +109,7 @@ class TestEncode:
                 for _ in range(n))
             vocab = build_vocab(csv_stream("a,b,y\n" + make()), schema)
             batch = encode(csv_stream("a,b,y\n" + make()), schema, vocab)
-            batch.validate_indices(vocab)
+            assert (batch.indices < np.array(vocab.sizes)).all()
 
 
 class TestBatch:
@@ -120,6 +120,15 @@ class TestBatch:
     def test_shape_checks(self):
         with pytest.raises(ContractError):
             Batch(np.zeros(3, dtype=np.uint32), np.zeros(3))
+
+    def test_negative_index_rejected(self):
+        # lookup would silently read the table's last row for -1
+        with pytest.raises(ContractError, match="non-negative"):
+            Batch(np.array([[-1]]), [1.0])
+
+    def test_float_indices_rejected(self):
+        with pytest.raises(ContractError, match="integers"):
+            Batch(np.array([[1.0]]), [1.0])
 
 
 class TestBatches:
