@@ -72,7 +72,10 @@ class _Cursor:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from None
     cur = _Cursor(blob, str(path))
     if cur.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic at byte 0")

@@ -14,8 +14,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
 from .data import (Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
-                   hash_split, load_dataset, read_table, save_dataset,
-                   synth_generate, synth_write_csv)
+                   hash_split, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, MMBAttnError
 from .gradcheck import ABLATION_TOGGLES, run_gradcheck
 from .model import TowerConfig, build
@@ -58,74 +57,16 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
                             train_b, valid_b, test_b, truth)
 
     schema = load_schema(cfg.path("data.schema"))
-    cache_paths = None
-    if cfg.values["data.cache_dir"] is not None:
-        cache_paths = _cache_paths(cfg)
-        cached = _load_cached(cfg, cache_paths, schema)
-        if cached is not None:
-            return cached
-
     if cfg.values["data.file"] is not None:
         header, rows = read_table(cfg.path("data.file"), schema.delimiter)
-        tr_idx, va_idx, te_idx = hash_split(len(rows))
-        parts = [[rows[i] for i in idx] for idx in (tr_idx, va_idx, te_idx)]
-    else:
-        tables = [read_table(cfg.path(key), schema.delimiter)
-                  for key in ("data.train", "data.valid", "data.test")]
-        header = tables[0][0]
-        parts = [rows for _, rows in tables]
+        parts = [(header, [rows[i] for i in idx]) for idx in hash_split(len(rows))]
+    else:  # each pre-split file is read by its own header
+        parts = [read_table(cfg.path(key), schema.delimiter)
+                 for key in ("data.train", "data.valid", "data.test")]
 
-    vocab = build_vocab_rows(header, parts[0], schema)
-    splits = [encode_rows(header, rows, schema, vocab) for rows in parts]
-    prepared = PreparedData(schema, vocab, *splits)
-    if cache_paths is not None:
-        _save_cached(cache_paths, prepared)
-    return prepared
-
-
-def _cache_paths(cfg: RunConfig) -> dict[str, Path]:
-    """Cache file per split, keyed on the data config and the bytes it names.
-
-    Hashing file contents, not only paths, makes a CSV or schema edited in
-    place miss the cache instead of reusing the stale encoding.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    for line in cfg.canonical_lines():
-        if line.startswith("data.") and not line.startswith("data.cache_dir"):
-            h.update(line.encode() + b"\n")
-    for name in ("data.schema", "data.file", "data.train", "data.valid", "data.test"):
-        if cfg.values[name] is not None:
-            with open(cfg.path(name), "rb") as fh:
-                h.update(hashlib.file_digest(fh, "sha256").digest())
-    key = h.hexdigest()[:16]
-    cache_dir = cfg.values["data.cache_dir"]
-    base = cfg.base_dir / cache_dir if not Path(cache_dir).is_absolute() else Path(cache_dir)
-    return {split: base / f"{key}_{split}.mmbd" for split in ("train", "valid", "test")}
-
-
-def _load_cached(cfg, paths, schema) -> PreparedData | None:
-    if not all(p.exists() for p in paths.values()):
-        return None
-    # the vocab must come from the same rows the fresh path uses: the
-    # train partition
-    if cfg.values["data.file"] is not None:
-        header, rows = read_table(cfg.path("data.file"), schema.delimiter)
-        train_idx, _, _ = hash_split(len(rows))
-        rows = [rows[i] for i in train_idx]
-    else:
-        header, rows = read_table(cfg.path("data.train"), schema.delimiter)
-    vocab = build_vocab_rows(header, rows, schema)
-    return PreparedData(schema, vocab, load_dataset(paths["train"]),
-                        load_dataset(paths["valid"]), load_dataset(paths["test"]))
-
-
-def _save_cached(paths, prepared: PreparedData) -> None:
-    next(iter(paths.values())).parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(prepared.train, paths["train"])
-    save_dataset(prepared.valid, paths["valid"])
-    save_dataset(prepared.test, paths["test"])
+    vocab = build_vocab_rows(*parts[0], schema)
+    splits = [encode_rows(header, rows, schema, vocab) for header, rows in parts]
+    return PreparedData(schema, vocab, *splits)
 
 
 # -- single run ------------------------------------------------------------

@@ -22,8 +22,13 @@ from .training import TrainConfig
 def parse_kv(source) -> dict[str, str]:
     """Parse a key-value config file (or text) into an ordered dict."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
         origin = str(source)
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{origin}: not UTF-8 text ({exc.reason})") from None
+        except OSError as exc:
+            raise ConfigError(f"{origin}: cannot read ({exc.strerror or exc})") from None
     else:
         text = str(source)
         origin = "<string>"
@@ -82,7 +87,6 @@ _RUN_KEYS: dict[str, tuple] = {
     "data.test": (str, None),
     "data.file": (str, None),
     "data.synth": (str, None),
-    "data.cache_dir": (str, None),
     "model.embedding_dim": (int, 10),
     "model.hidden_sizes": (_parse_int_list, (400, 400, 400)),
     "model.seed": (int, None),
@@ -175,9 +179,6 @@ class RunConfig:
         seeds = (seed,) if seed is not None else None
         text = "\n".join(self.canonical_lines(seeds))
         return hashlib.sha256(text.encode("utf-8")).digest()
-
-    def digest_hex(self, seed: int | None = None) -> str:
-        return self.digest(seed).hex()
 
     def override(self, updates: dict[str, str]) -> "RunConfig":
         """A new config with the given raw-string updates applied."""
@@ -275,10 +276,17 @@ def load_schema(path) -> FieldSchema:
     delimiter = options.get("schema.delimiter", ",")
     if delimiter == "tab":
         delimiter = "\t"
+    counts = {}
+    for key, default in (("schema.min_count", "1"), ("schema.buckets", "10")):
+        raw = options.get(key, default)
+        try:
+            counts[key] = int(raw)
+        except ValueError:
+            raise ConfigError(f"{path}: {key} = {raw!r} is not an integer") from None
     return FieldSchema(fields=tuple(fields),
                        label_column=options["schema.label"],
-                       min_count=int(options.get("schema.min_count", "1")),
-                       buckets=int(options.get("schema.buckets", "10")),
+                       min_count=counts["schema.min_count"],
+                       buckets=counts["schema.buckets"],
                        delimiter=delimiter)
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
-import struct
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -19,9 +19,6 @@ from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
-
-CACHE_MAGIC = b"MMBD"
-CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ class Batch:
         return out
 
     def digest(self) -> str:
-        """Content digest of the encoded data (split-isolation checks, caching)."""
+        """Content digest of the encoded data (split-isolation checks, run_info)."""
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.indices, dtype="<u4").tobytes())
         h.update(np.ascontiguousarray(self.labels, dtype="<u1").tobytes())
@@ -160,68 +157,72 @@ class Batch:
 # -- CSV ingestion ------------------------------------------------------
 
 
-@contextmanager
-def _open_rows(source, delimiter: str):
-    if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh, delimiter=delimiter)
-    elif hasattr(source, "read"):
-        yield csv.reader(source, delimiter=delimiter)
-    else:
-        yield csv.reader(iter(source), delimiter=delimiter)
-
-
 def read_table(source, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
-    """Slurp a CSV into (header, rows); desk-scale datasets only."""
-    with _open_rows(source, delimiter) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise DataError("empty input stream")
-        rows = [row for row in reader if row]
-    return header, rows
+    """Slurp a CSV into (header, rows); desk-scale datasets only.
+
+    ``source`` is a path, an open text stream or an iterable of lines.
+    """
+    if not isinstance(source, (str, Path)):
+        return _read_rows(source, delimiter)
+    try:
+        with open(source, newline="", encoding="utf-8") as fh:
+            return _read_rows(fh, delimiter)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise DataError(f"{source}: cannot read ({exc.strerror or exc})") from None
 
 
-def _column_positions(header: list[str], schema: FieldSchema) -> dict[str, int]:
-    pos = {}
+def _read_rows(lines, delimiter: str) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(lines, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise DataError("empty input stream")
+    return header, [row for row in reader if row]
+
+
+def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
+             names: Sequence[str]) -> list[list[str]]:
+    """Check every row's width, then return the named columns' cells."""
+    if not rows:
+        raise DataError("no data rows in input stream")
     for name in (*schema.field_names, schema.label_column):
         if name not in header:
             raise SchemaError(f"missing column {name!r} in header")
-        pos[name] = header.index(name)
-    return pos
+    width = len(header)
+    widths = list(map(len, rows))
+    if widths.count(width) != len(rows):
+        rownum, got = next((r, w) for r, w in enumerate(widths, start=1) if w != width)
+        raise DataError(f"row {rownum}: expected {width} columns, got {got}")
+    return [[row[c] for row in rows] for c in map(header.index, names)]
+
+
+def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of every cell, plus a mask of the cells that parse."""
+    values = np.zeros(len(cells), dtype=np.float64)
+    ok = np.ones(len(cells), dtype=bool)
+    for i, raw in enumerate(cells):
+        try:
+            values[i] = float(raw)
+        except ValueError:
+            ok[i] = False
+    return values, ok
 
 
 def build_vocab_rows(header: list[str], rows: list[list[str]],
                      schema: FieldSchema, min_count: int | None = None) -> Vocabulary:
     mc = schema.min_count if min_count is None else min_count
-    if not rows:
-        raise DataError("no data rows in input stream")
-    cols = _column_positions(header, schema)
-    counts: list[dict[str, int]] = [{} for _ in schema.fields]
-    numeric: list[list[float]] = [[] for _ in schema.fields]
-    for rownum, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"row {rownum}: expected {len(header)} columns, got {len(row)}")
-        for f, (name, kind) in enumerate(schema.fields):
-            raw = row[cols[name]]
-            if kind == CATEGORICAL:
-                counts[f][raw] = counts[f].get(raw, 0) + 1
-            else:
-                try:
-                    numeric[f].append(float(raw))
-                except ValueError:
-                    pass
+    cols = _columns(header, rows, schema, schema.field_names)
     maps: list[dict[str, int]] = []
     bounds: list[np.ndarray | None] = []
-    for f, (name, kind) in enumerate(schema.fields):
+    for (_, kind), col in zip(schema.fields, cols):
         if kind == CATEGORICAL:
-            table: dict[str, int] = {}
-            for value, c in counts[f].items():  # first-seen order
-                if c >= mc:
-                    table[value] = len(table) + 1
-            maps.append(table)
+            kept = [v for v, c in Counter(col).items() if c >= mc]  # first-seen order
+            maps.append({v: i for i, v in enumerate(kept, start=1)})
             bounds.append(None)
         else:
-            vals = np.asarray(numeric[f], dtype=np.float64)
+            values, ok = _parse_floats(col)
+            vals = values[ok]
             if vals.size:
                 qs = np.linspace(0.0, 1.0, schema.buckets + 1)[1:-1]
                 edges = np.unique(np.quantile(vals, qs))
@@ -244,26 +245,27 @@ def build_vocab(source, schema: FieldSchema, min_count: int | None = None) -> Vo
 
 def encode_rows(header: list[str], rows: list[list[str]],
                 schema: FieldSchema, vocab: Vocabulary) -> Batch:
-    if not rows:
-        raise DataError("no data rows in input stream")
-    cols = _column_positions(header, schema)
-    label_col = cols[schema.label_column]
-    field_cols = [cols[name] for name in schema.field_names]
-    indices = np.zeros((len(rows), schema.n_fields), dtype=np.uint32)
-    labels = np.zeros(len(rows), dtype=np.float64)
-    for rownum, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"row {rownum}: expected {len(header)} columns, got {len(row)}")
-        raw_label = row[label_col]
-        try:
-            y = float(raw_label)
-        except ValueError:
-            raise DataError(f"row {rownum}: label {raw_label!r} is not a number") from None
-        if y not in (0.0, 1.0):
-            raise DataError(f"row {rownum}: label must be 0 or 1, got {raw_label!r}")
-        labels[rownum - 1] = y
-        for f in range(schema.n_fields):
-            indices[rownum - 1, f] = vocab.index_of(f, row[field_cols[f]])
+    """Encode one column at a time; matches ``vocab.index_of`` per cell."""
+    *cols, label_cells = _columns(header, rows, schema,
+                                  (*schema.field_names, schema.label_column))
+    labels, ok = _parse_floats(label_cells)
+    bad = ~ok | ((labels != 0.0) & (labels != 1.0))
+    if bad.any():
+        r = int(np.flatnonzero(bad)[0])
+        raw = label_cells[r]
+        if not ok[r]:
+            raise DataError(f"row {r + 1}: label {raw!r} is not a number")
+        raise DataError(f"row {r + 1}: label must be 0 or 1, got {raw!r}")
+    indices = np.empty((len(rows), schema.n_fields), dtype=np.uint32)
+    for f, col in enumerate(cols):
+        edges = vocab.boundaries[f]
+        if edges is None:
+            indices[:, f] = np.fromiter(map(vocab.maps[f].get, col, repeat(0)),
+                                        dtype=np.uint32, count=len(col))
+        else:
+            values, parsed = _parse_floats(col)
+            buckets = np.searchsorted(edges, values, side="right") + 1
+            indices[:, f] = np.where(parsed, buckets, 0)
     return Batch(indices, labels)
 
 
@@ -280,40 +282,6 @@ def decode(batch: Batch, schema: FieldSchema, vocab: Vocabulary) -> list[list[st
         out.append([vocab.value_of(f, int(batch.indices[r, f]))
                     for f in range(schema.n_fields)])
     return out
-
-
-# -- binary dataset cache ------------------------------------------------
-
-_CACHE_HEADER = struct.Struct("<HQH")  # version, row count, field count
-
-
-def save_dataset(data: Batch, path) -> None:
-    """Write the MMBD binary cache: u32 indices row-major, u8 labels, LE."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(_CACHE_HEADER.pack(CACHE_VERSION, data.n, data.n_fields))
-        fh.write(np.ascontiguousarray(data.indices, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(data.labels, dtype="<u1").tobytes())
-
-
-def load_dataset(path) -> Batch:
-    blob = Path(path).read_bytes()
-    if blob[:4] != CACHE_MAGIC:
-        raise DataError(f"{path}: bad magic at byte 0")
-    if len(blob) < 4 + _CACHE_HEADER.size:
-        raise DataError(f"{path}: truncated header at byte {len(blob)}")
-    version, n, nf = _CACHE_HEADER.unpack_from(blob, 4)
-    if version != CACHE_VERSION:
-        raise DataError(f"{path}: unsupported cache version {version}")
-    start = 4 + _CACHE_HEADER.size
-    need = start + n * nf * 4 + n
-    if len(blob) != need:
-        raise DataError(f"{path}: expected {need} bytes, got {len(blob)} "
-                        f"(truncated at byte {len(blob)})")
-    indices = np.frombuffer(blob, dtype="<u4", count=n * nf, offset=start)
-    labels = np.frombuffer(blob, dtype="<u1", count=n, offset=start + n * nf * 4)
-    return Batch(indices.reshape(n, nf).astype(np.uint32),
-                 labels.astype(np.float64))
 
 
 # -- deterministic splitting and batching --------------------------------

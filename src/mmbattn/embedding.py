@@ -49,12 +49,13 @@ def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:
     idx = batch.indices
     if idx.shape[1] != emb.n_fields:
         raise ContractError(f"batch has {idx.shape[1]} fields, tables have {emb.n_fields}")
-    for f, t in enumerate(emb.tables):
-        if idx.shape[0] and int(idx[:, f].max()) >= t.shape[0]:
-            raise ContractError(f"index out of range for field {emb.field_names[f]!r}")
     out = np.empty((idx.shape[0], emb.n_fields, emb.d), dtype=np.float64)
     for f, t in enumerate(emb.tables):
-        out[:, f, :] = t.data[idx[:, f]]
+        try:
+            out[:, f, :] = t.data[idx[:, f]]
+        except IndexError:
+            name = emb.field_names[f]
+            raise ContractError(f"index out of range for field {name!r}") from None
 
     tables = emb.tables
 

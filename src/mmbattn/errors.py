@@ -18,7 +18,7 @@ class SchemaError(MMBAttnError):
 
 
 class DataError(MMBAttnError):
-    """Malformed input data: bad label, empty stream, corrupt cache file."""
+    """Malformed input data: bad label, bad row width, empty or unreadable file."""
 
 
 class SynthSpecError(MMBAttnError):

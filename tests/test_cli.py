@@ -9,6 +9,7 @@ import pytest
 
 from mmbattn import cli
 from mmbattn.autograd import Graph, accumulate_grad
+from mmbattn.config import load_run_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -64,6 +65,12 @@ class TestTrainCommand:
                        "--override", "train.warmup=5"])
         assert rc == 1
         assert "train.warmup" in capsys.readouterr().err
+
+    def test_missing_config_file_nonzero_exit(self, tmp_path, capsys):
+        missing = tmp_path / "missing.conf"
+        assert cli.main(["train", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.conf" in err
 
     def test_missing_data_file_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
@@ -131,6 +138,13 @@ class TestEvaluateCommand:
                        "--checkpoint", str(ckpt)])
         assert rc == 1
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_before_training_nonzero_exit(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "empty"
+        assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "checkpoint.mmbc" in err
 
     def test_bad_eval_threads_env_exits_cleanly(self, tmp_path):
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1", "train.max_epochs": "1"})
@@ -202,6 +216,11 @@ class TestInspectCommand:
         printed = capsys.readouterr().out
         assert "config digest" in printed
         assert "embed.f0" in printed and "tower.0.weight" in printed
+
+    def test_missing_file_nonzero_exit(self, tmp_path, capsys):
+        assert cli.main(["inspect-checkpoint", str(tmp_path / "nope.mmbc")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.mmbc" in err
 
     def test_corrupt_file_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.mmbc"
@@ -358,44 +377,36 @@ class TestCsvPipeline:
         info = json.loads((out / "seed_1" / "run_info.json").read_text())
         assert len(set(info["data_digest"].values())) == 3
 
-    @pytest.mark.parametrize("single_file", [False, True])
-    def test_cache_dir_round_trip(self, tmp_path, single_file):
-        cfg = self.write_csv_run(tmp_path, single_file=single_file)
-        text = cfg.read_text() + "data.cache_dir = cache\n"
-        cfg.write_text(text)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["train", "--config", str(cfg), "--out", str(out_a)]) == 0
-        cache_files = list((tmp_path / "cache").glob("*.mmbd"))
-        assert len(cache_files) == 3
-        assert cli.main(["train", "--config", str(cfg), "--out", str(out_b)]) == 0
-        ma = drop_timing(read_metrics(out_a / "seed_1" / "metrics.jsonl"))
-        mb = drop_timing(read_metrics(out_b / "seed_1" / "metrics.jsonl"))
-        assert ma == mb
-        ca = (out_a / "seed_1" / "checkpoint.mmbc").read_bytes()
-        cb = (out_b / "seed_1" / "checkpoint.mmbc").read_bytes()
-        assert ca == cb
-
-    def test_cache_misses_after_csvs_rewritten_in_place(self, tmp_path):
+    def test_presplit_files_read_by_their_own_header(self, tmp_path):
         cfg = self.write_csv_run(tmp_path)
-        plain = cfg.read_text()
-        cfg.write_text(plain + "data.cache_dir = cache\n")
+        plain = cli.prepare_data(load_run_config(cfg))
+        for split in ("valid", "test"):  # swap the first two columns
+            path = tmp_path / "data" / f"{split}.csv"
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            path.write_text("".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows))
+        swapped = cli.prepare_data(load_run_config(cfg))
+        assert swapped.digests() == plain.digests()
 
-        def digests(out):
-            info = json.loads((out / "seed_1" / "run_info.json").read_text())
-            return info["data_digest"]
+    @pytest.mark.parametrize("line", ["schema.min_count = abc", "schema.buckets = 2.5"])
+    def test_bad_schema_integer_nonzero_exit(self, tmp_path, capsys, line):
+        cfg = self.write_csv_run(tmp_path)
+        schema = tmp_path / "schema.conf"
+        schema.write_text(schema.read_text() + line + "\n")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        key, value = (part.strip() for part in line.split("="))
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "schema.conf" in err and key in err and repr(value) in err
 
-        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        # new rows with the same vocabulary sizes, written over the same paths
-        spec = tmp_path / "other_synth.conf"
-        spec.write_text((CONFIGS / "tiny_synth.conf").read_text()
-                        .replace("synth.seed = 11", "synth.seed = 12"))
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "new")]) == 0
-        for split in ("train", "valid", "test"):
-            (tmp_path / "data" / f"{split}.csv").write_bytes(
-                (tmp_path / "new" / f"{split}.csv").read_bytes())
-        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        cfg.write_text(plain)
-        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
-        stale, cached, fresh = (digests(tmp_path / k) for k in ("a", "b", "c"))
-        assert all(cached[k] != stale[k] for k in stale)
-        assert cached == fresh
+    @pytest.mark.parametrize("damage", ["latin-1", "directory"])
+    def test_unreadable_csv_nonzero_exit(self, tmp_path, capsys, damage):
+        cfg = self.write_csv_run(tmp_path)
+        valid = tmp_path / "data" / "valid.csv"
+        if damage == "latin-1":
+            valid.write_bytes(valid.read_bytes() + "caf\u00e9,v1,v1,v1,1\n".encode("latin-1"))
+        else:
+            valid.unlink()
+            valid.mkdir()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "valid.csv" in err

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from mmbattn.config import (load_run_config, load_schema, load_synth_spec,
-                            parse_kv)
+from mmbattn.config import (_RUN_KEYS, load_run_config, load_schema,
+                            load_synth_spec, parse_kv)
 from mmbattn.errors import ConfigError
 
 TINY = """\
@@ -47,6 +50,17 @@ class TestParseKv:
             parse_kv("a.b = 1\na.b = 2\n")
 
 
+    def test_missing_file_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="missing.conf: cannot read"):
+            parse_kv(tmp_path / "missing.conf")
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes("run.out = caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="latin1.conf: not UTF-8"):
+            parse_kv(path)
+
+
 class TestRunConfig:
     def test_load_and_defaults(self, cfg_dir):
         cfg = load_run_config(cfg_dir / "run.conf")
@@ -60,6 +74,10 @@ class TestRunConfig:
         (cfg_dir / "bad.conf").write_text(TINY + "model.dropout = 0.5\n")
         with pytest.raises(ConfigError, match="model.dropout"):
             load_run_config(cfg_dir / "bad.conf")
+
+    def test_removed_cache_dir_key_rejected(self, cfg_dir):
+        with pytest.raises(ConfigError, match="unknown config key 'data.cache_dir'"):
+            load_run_config(cfg_dir / "run.conf", ["data.cache_dir=cache"])
 
     def test_digest_independent_of_key_order(self, cfg_dir):
         lines = TINY.strip().splitlines()
@@ -127,6 +145,14 @@ class TestSchemaFile:
         with pytest.raises(ConfigError, match="fancy"):
             load_schema(path)
 
+    @pytest.mark.parametrize("key,value", [("schema.min_count", "abc"),
+                                           ("schema.buckets", "2.5")])
+    def test_non_integer_count_named(self, tmp_path, key, value):
+        path = tmp_path / "schema.conf"
+        path.write_text(f"schema.label = y\nfield.a = categorical\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"schema.conf: {key} = '{value}'")):
+            load_schema(path)
+
     def test_tab_delimiter(self, tmp_path):
         path = tmp_path / "schema.conf"
         path.write_text("schema.label = y\nschema.delimiter = tab\n"
@@ -157,3 +183,17 @@ class TestSynthSpecFile:
         path.write_text(SYNTH + "synth.extra = 1\n")
         with pytest.raises(ConfigError, match="synth.extra"):
             load_synth_spec(path)
+
+
+class TestReadmeTable:
+    def test_documented_keys_equal_run_keys(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        keys = set()
+        for line in text.split("\n## ", 1)[0].splitlines():
+            if not line.startswith("| `"):
+                continue
+            for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                section, names = token.split(".", 1)
+                keys.update(f"{section}.{name}" for name in names.split("/"))
+        assert keys == set(_RUN_KEYS)

@@ -1,11 +1,12 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
 from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, SynthSpec,
-                          batches, build_vocab, decode, encode, hash_split,
-                          load_dataset, save_dataset, synth_generate,
+                          batches, build_vocab, build_vocab_rows, decode, encode,
+                          encode_rows, hash_split, read_table, synth_generate,
                           synth_table, synth_truth, synth_write_csv)
 from mmbattn.errors import (ContractError, DataError, SchemaError,
                             SynthSpecError)
@@ -112,6 +113,77 @@ class TestEncode:
             assert (batch.indices < np.array(vocab.sizes)).all()
 
 
+MIXED_CSV = """\
+city,temp,y
+paris,1.5,1
+rome,abc,0
+paris,nan,1.0
+oslo, 7,0
+rome,1e0, 0
+paris,,1
+lima,3,0
+rome,-2,1.0
+"""
+
+
+def mixed_schema():
+    return FieldSchema(fields=(("city", CATEGORICAL), ("temp", NUMERIC)),
+                       label_column="y", min_count=2, buckets=3)
+
+
+class TestColumnwiseIngest:
+    def test_every_index_matches_per_value_reference(self):
+        schema = mixed_schema()
+        header, rows = read_table(csv_stream(MIXED_CSV))
+        vocab = build_vocab_rows(header, rows, schema)
+        # first-seen order; oslo and lima fall below min_count
+        assert list(vocab.maps[0]) == ["paris", "rome"]
+        assert vocab.maps[0] == {"paris": 1, "rome": 2}
+        batch = encode_rows(header, rows, schema, vocab)
+        expected = [[vocab.index_of(f, row[f]) for f in range(2)] for row in rows]
+        assert batch.indices.tolist() == expected
+        assert batch.indices.dtype == np.uint32
+        assert [row[0] for row in batch.indices.tolist()] == [1, 2, 1, 0, 2, 1, 0, 2]
+        temp = batch.indices[:, 1].tolist()
+        assert temp[1] == 0 and temp[5] == 0  # cells that do not parse
+        assert temp[2] == len(vocab.boundaries[1]) + 1  # "nan" parses and sorts last
+        assert batch.labels.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("fn", [build_vocab_rows, encode_rows])
+    def test_short_row_named(self, fn):
+        schema = mixed_schema()
+        header, rows = read_table(csv_stream("city,temp,y\na,1,0\nb,2,1\nc,3\n"))
+        args = (header, rows, schema)
+        if fn is encode_rows:
+            args += (build_vocab(csv_stream(MIXED_CSV), schema),)
+        with pytest.raises(DataError, match="row 3: expected 3 columns, got 2"):
+            fn(*args)
+
+    def test_non_numeric_label_named(self):
+        schema = mixed_schema()
+        vocab = build_vocab(csv_stream(MIXED_CSV), schema)
+        with pytest.raises(DataError, match="row 2: label 'yes' is not a number"):
+            encode(csv_stream("city,temp,y\na,1,0\nb,2,yes\nc,3,2\n"), schema, vocab)
+
+    def test_label_two_named(self):
+        schema = mixed_schema()
+        vocab = build_vocab(csv_stream(MIXED_CSV), schema)
+        with pytest.raises(DataError, match="row 3: label must be 0 or 1, got '2'"):
+            encode(csv_stream("city,temp,y\na,1,0\nb,2, 1\nc,3,2\n"), schema, vocab)
+
+
+class TestReadTable:
+    def test_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("f,y\ncaf\u00e9,1\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+            read_table(path)
+
+    def test_directory_names_path(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(str(tmp_path))):
+            read_table(tmp_path)
+
+
 class TestBatch:
     def test_binary_labels_enforced(self):
         with pytest.raises(ContractError):
@@ -157,34 +229,6 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(ContractError):
             next(batches(self.make(4), 0))
-
-
-class TestCacheFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        data = Batch(rng.integers(0, 9, size=(37, 3)).astype(np.uint32),
-                     rng.integers(0, 2, size=37).astype(np.float64))
-        path = tmp_path / "data.mmbd"
-        save_dataset(data, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"MMBD"
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.indices, data.indices)
-        assert np.array_equal(loaded.labels, data.labels)
-
-    def test_truncated_rejected_with_offset(self, tmp_path):
-        data = Batch(np.zeros((4, 2), dtype=np.uint32), np.zeros(4))
-        path = tmp_path / "data.mmbd"
-        save_dataset(data, path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(DataError, match="byte"):
-            load_dataset(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "data.mmbd"
-        path.write_bytes(b"XXXX" + b"\0" * 20)
-        with pytest.raises(DataError, match="magic"):
-            load_dataset(path)
 
 
 class TestHashSplit:
