@@ -9,6 +9,7 @@ Layout (little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,23 @@ def save_checkpoint(path, registry: dict[str, Tensor], config_digest: bytes) -> 
         payloads.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
     chunks.append(struct.pack("<Q", offset))
     chunks.extend(payloads)
-    Path(path).write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write a temp file beside ``path``, then rename it over ``path``.
+
+    A run killed or failing mid-write leaves the previous file intact and
+    removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Cursor:
@@ -87,7 +104,12 @@ def load_checkpoint(path) -> Checkpoint:
     entries: list[tuple[str, tuple[int, ...], int]] = []
     for _ in range(count):
         (name_len,) = cur.unpack("<H")
-        name = cur.take(name_len).decode("utf-8")
+        at = cur.pos
+        try:
+            name = cur.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8 "
+                                  f"at byte {at + exc.start}") from None
         (ndim,) = cur.unpack("<B")
         shape = tuple(cur.unpack(f"<{ndim}I")) if ndim else ()
         (offset,) = cur.unpack("<Q")

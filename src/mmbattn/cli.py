@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -95,10 +96,16 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
         "test_auc": report.auc,
         "test_logloss": report.logloss,
     }
-    (out_dir / "run_info.json").write_text(
-        json.dumps(info, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    ckpt.write_atomic(out_dir / "run_info.json",
+                      (json.dumps(info, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     report.model = model  # type: ignore[attr-defined]
     return report
+
+
+def _write_csv(path: Path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    ckpt.write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -137,13 +144,11 @@ def cmd_train(args) -> int:
     print(f"test auc {s['auc_mean']:.5f} ± {s['auc_std']:.5f} | "
           f"logloss {s['logloss_mean']:.5f} ± {s['logloss_std']:.5f} "
           f"({len(reports)} seeds)")
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "test_auc", "test_logloss"])
-        for seed, rep in reports.items():
-            writer.writerow([seed, repr(rep.auc), repr(rep.logloss)])
-        writer.writerow(["mean", repr(s["auc_mean"]), repr(s["logloss_mean"])])
-        writer.writerow(["std", repr(s["auc_std"]), repr(s["logloss_std"])])
+    _write_csv(out_dir / "summary.csv", [
+        ["seed", "test_auc", "test_logloss"],
+        *([seed, repr(rep.auc), repr(rep.logloss)] for seed, rep in reports.items()),
+        ["mean", repr(s["auc_mean"]), repr(s["logloss_mean"])],
+        ["std", repr(s["auc_std"]), repr(s["logloss_std"])]])
     return 0
 
 
@@ -193,13 +198,10 @@ def cmd_ablate(args) -> int:
     for r in rows:
         print(f"{r['model']:<{width}}  {r['auc_mean']:>8.5f}  {r['impr']:>7}  "
               f"{r['logloss_mean']:>8.5f}")
-    with open(out_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "auc_mean", "auc_std", "impr",
-                         "logloss_mean", "logloss_std"])
-        for r in rows:
-            writer.writerow([r["model"], repr(r["auc_mean"]), repr(r["auc_std"]),
-                             r["impr"], repr(r["logloss_mean"]), repr(r["logloss_std"])])
+    _write_csv(out_dir / "ablation.csv", [
+        ["model", "auc_mean", "auc_std", "impr", "logloss_mean", "logloss_std"],
+        *([r["model"], repr(r["auc_mean"]), repr(r["auc_std"]),
+           r["impr"], repr(r["logloss_mean"]), repr(r["logloss_std"])] for r in rows)])
     return 0
 
 
@@ -223,13 +225,10 @@ def cmd_sweep(args) -> int:
     print(f"{args.axis:>16}  {'AUC':>8}  {'LogLoss':>8}")
     for r in rows:
         print(f"{r['value']:>16}  {r['auc_mean']:>8.5f}  {r['logloss_mean']:>8.5f}")
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([args.axis, "auc_mean", "auc_std",
-                         "logloss_mean", "logloss_std"])
-        for r in rows:
-            writer.writerow([r["value"], repr(r["auc_mean"]), repr(r["auc_std"]),
-                             repr(r["logloss_mean"]), repr(r["logloss_std"])])
+    _write_csv(out_dir / "sweep.csv", [
+        [args.axis, "auc_mean", "auc_std", "logloss_mean", "logloss_std"],
+        *([r["value"], repr(r["auc_mean"]), repr(r["auc_std"]),
+           repr(r["logloss_mean"]), repr(r["logloss_std"])] for r in rows)])
     return 0
 
 

@@ -166,11 +166,16 @@ def read_table(source, delimiter: str = ",") -> tuple[list[str], list[list[str]]
         return _read_rows(source, delimiter)
     try:
         with open(source, newline="", encoding="utf-8") as fh:
-            return _read_rows(fh, delimiter)
+            header, rows = _read_rows(fh, delimiter)
     except UnicodeDecodeError as exc:
         raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise DataError(f"{source}: cannot read ({exc.strerror or exc})") from None
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
+    if not rows:
+        raise DataError(f"{source}: no data rows after the header")
+    return header, rows
 
 
 def _read_rows(lines, delimiter: str) -> tuple[list[str], list[list[str]]]:

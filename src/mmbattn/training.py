@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
+from .blas import threads_for
 from .data import Batch, batches
 from .errors import ConfigError, ContractError, MetricError, TrainingError
 from .model import Model
@@ -222,6 +223,8 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     Emits one record per epoch ({epoch, split, auc, logloss, train_loss,
     seconds}) and a final record with split "test".  Aborts with a
     diagnostic naming the batch index if the loss goes non-finite.
+    Training steps with small GEMMs run on one BLAS thread; evaluation
+    keeps the library's default count.
     """
     shuffle_seed = derive_seed(run_seed, "shuffle")
     state = init_adam_state(model.registry)
@@ -230,23 +233,28 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     history: list[dict] = []
     step = 0
     epoch = 0
+    # The step's largest GEMM: a batch through the widest dense weight.
+    work = config.batch_size * max(
+        (p.data.size for name, p in model.registry.items()
+         if p.data.ndim == 2 and not name.startswith("embed.")), default=0)
     for epoch in range(1, config.max_epochs + 1):
         tick = time.perf_counter()
         losses = []
-        for bi, batch in enumerate(batches(train_data, config.batch_size,
-                                           shuffle_seed, epoch)):
-            g = Graph()
-            logits = model.forward_logits(g, batch)
-            loss = bce_with_logits(g, logits, batch.labels)
-            if not np.isfinite(loss.data):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            model.zero_grad()
-            g.backward(loss)
-            step += 1
-            adam_step(model.registry,
-                      {name: p.grad for name, p in model.registry.items()},
-                      state, config, step)
-            losses.append(float(loss.data))
+        with threads_for(work):
+            for bi, batch in enumerate(batches(train_data, config.batch_size,
+                                               shuffle_seed, epoch)):
+                g = Graph()
+                logits = model.forward_logits(g, batch)
+                loss = bce_with_logits(g, logits, batch.labels)
+                if not np.isfinite(loss.data):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
+                model.zero_grad()
+                g.backward(loss)
+                step += 1
+                adam_step(model.registry,
+                          {name: p.grad for name, p in model.registry.items()},
+                          state, config, step)
+                losses.append(float(loss.data))
         report = evaluate(model, valid_data, config.eval_batch_size, eval_threads)
         record = {"epoch": epoch, "split": "valid", "auc": report.auc,
                   "logloss": report.logloss, "train_loss": float(np.mean(losses)),

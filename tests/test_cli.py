@@ -410,3 +410,12 @@ class TestCsvPipeline:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "valid.csv" in err
+
+    @pytest.mark.parametrize("content", ["", "label,f0,f1,f2,f3\n"])
+    def test_empty_valid_csv_names_file(self, tmp_path, capsys, content):
+        cfg = self.write_csv_run(tmp_path)
+        valid = tmp_path / "data" / "valid.csv"
+        valid.write_text(content)
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {valid}: ")

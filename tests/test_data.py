@@ -183,6 +183,18 @@ class TestReadTable:
         with pytest.raises(DataError, match=re.escape(str(tmp_path))):
             read_table(tmp_path)
 
+    def test_empty_file_names_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty.csv: empty input stream"):
+            read_table(path)
+
+    def test_header_only_file_names_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("f,y\n\n")
+        with pytest.raises(DataError, match="header.csv: no data rows"):
+            read_table(path)
+
 
 class TestBatch:
     def test_binary_labels_enforced(self):
