@@ -8,11 +8,9 @@ embedding yields one weight per bit.  The weights re-scale the flattened
 embedding, so the whole module is a drop-in R^{F·d} -> R^{F·d} transform
 in front of any tower.
 
-Two combination modes are provided.  ``residual_product`` (default)
-applies the field weights to the embeddings first and lets the bit
-weights refine that multiplicatively, with a residual path.
-``paper_literal`` combines the two weight vectors first and applies the
-sum to the embeddings once.
+With both weight kinds on, the field weights re-scale the embeddings
+first and the bit weights refine that with a residual path:
+``F^MM = E ⊙ W^MM`` and ``F^MMB = F^MM + F^MM ⊙ W^B``.
 """
 
 from __future__ import annotations
@@ -25,26 +23,25 @@ from .autograd import Graph, Tensor
 from .errors import ConfigError, ContractError
 from .seeding import derive_seed
 
-COMBINE_MODES = ("residual_product", "paper_literal")
-
 
 @dataclass(frozen=True)
 class MMBAttnConfig:
-    """Component toggles, reduction ratio, and combination mode."""
+    """Component toggles and reduction ratio."""
 
     use_max: bool = True
     use_mean: bool = True
     use_bitwise: bool = True
     reduction_ratio: int = 3
+    # Only "residual_product" exists; the field stays because the benchmark
+    # harness passes it, and goes with the next change to the benchmark.
     combine_mode: str = "residual_product"
 
     def __post_init__(self):
         if self.reduction_ratio < 1:
             raise ConfigError("attn.reduction_ratio must be >= 1")
-        if self.combine_mode not in COMBINE_MODES:
-            raise ConfigError(
-                f"attn.combine_mode must be one of {COMBINE_MODES}, "
-                f"got {self.combine_mode!r}")
+        if self.combine_mode != "residual_product":
+            raise ConfigError(f"combine_mode must be 'residual_product', "
+                              f"got {self.combine_mode!r}")
 
     @property
     def enabled(self) -> bool:
@@ -53,6 +50,19 @@ class MMBAttnConfig:
     @property
     def uses_pooling(self) -> bool:
         return self.use_max or self.use_mean
+
+
+# The six component combinations of the paper's ablation table, which are
+# every configuration of the module: display name, slug, and the
+# (use_max, use_mean, use_bitwise) toggles.
+ABLATION_ROWS = (
+    ("DNN", "base", (False, False, False)),
+    ("DNN + Mean", "mean", (False, True, False)),
+    ("DNN + Max", "max", (True, False, False)),
+    ("DNN + Bit-wise", "bitwise", (False, False, True)),
+    ("DNN + Max + Mean", "max_mean", (True, True, False)),
+    ("DNN + Max + Mean + Bit-wise", "max_mean_bitwise", (True, True, True)),
+)
 
 
 def hidden_width(c: int, r: int) -> int:
@@ -177,17 +187,8 @@ def apply_attention(g: Graph, e: Tensor, params: AttnParams | None,
     if w_mm is None:
         return g.mul(g.reshape(e, flat_shape), w_bit)
 
-    if config.combine_mode == "residual_product":
-        f_mm = g.reshape(mm_reweight(g, e, w_mm), flat_shape)
-        f_bit = g.mul(f_mm, w_bit)
-        return g.add(f_mm, f_bit)
-
-    # paper_literal: combine the weight vectors first, apply them once.
-    # W^MM broadcasts over the d positions of its field.
-    w_mm_col = g.reshape(w_mm, (b, f, 1))
-    f_bit = g.mul(g.reshape(w_bit, (b, f, d)), w_mm_col)
-    w_total = g.add(f_bit, w_mm_col)
-    return g.reshape(g.mul(e, w_total), flat_shape)
+    f_mm = g.reshape(mm_reweight(g, e, w_mm), flat_shape)
+    return g.add(f_mm, g.mul(f_mm, w_bit))
 
 
 def param_count(config: MMBAttnConfig | None, n_fields: int, d: int) -> int:

@@ -13,27 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .attention import ABLATION_ROWS
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
 from .data import (Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
                    hash_split, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, MMBAttnError
-from .gradcheck import ABLATION_TOGGLES, run_gradcheck
+from .gradcheck import run_gradcheck
 from .model import TowerConfig, build
 from .seeding import derive_seed
 from .training import MetricsReport, eval_thread_count, evaluate, train
 
 GRADCHECK_TOL = 1e-4
-
-# Table-2-style ablation rows: display name, toggle slug
-ABLATION_ROWS = (
-    ("DNN", "base"),
-    ("DNN + Mean", "mean"),
-    ("DNN + Max", "max"),
-    ("DNN + Bit-wise", "bitwise"),
-    ("DNN + Max + Mean", "max_mean"),
-    ("DNN + Max + Mean + Bit-wise", "max_mean_bitwise"),
-)
-_TOGGLES_BY_SLUG = dict(ABLATION_TOGGLES)
 
 
 @dataclass
@@ -170,21 +160,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _toggle_overrides(slug: str) -> dict[str, str]:
-    use_max, use_mean, use_bit = _TOGGLES_BY_SLUG[slug]
-    return {"attn.use_max": "true" if use_max else "false",
-            "attn.use_mean": "true" if use_mean else "false",
-            "attn.use_bitwise": "true" if use_bit else "false"}
-
-
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
     prepared = prepare_data(cfg)
     out_dir = _out_dir(cfg, args)
     rows = []
     base_auc = None
-    for display, slug in ABLATION_ROWS:
-        combo_cfg = cfg.override(_toggle_overrides(slug))
+    for display, slug, toggles in ABLATION_ROWS:
+        combo_cfg = cfg.override({
+            key: "true" if on else "false"
+            for key, on in zip(("attn.use_max", "attn.use_mean", "attn.use_bitwise"),
+                               toggles)})
         reports = _run_all_seeds(combo_cfg, out_dir / slug, prepared)
         s = _summarize(reports)
         if slug == "base":
@@ -233,7 +219,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = load_run_config(args.config, args.override, args.seed, args.out)
+    cfg = load_run_config(args.config, args.override, args.seed)
     prepared = prepare_data(cfg)
     if prepared.schema.n_fields > 4:
         raise ConfigError("gradcheck needs a tiny model: at most 4 fields")
@@ -278,11 +264,8 @@ def _add_run_flags(sp) -> None:
     sp.add_argument("--config", required=True, help="run config file")
     sp.add_argument("--seed", type=int, action="append",
                     help="override run.seeds (repeatable)")
-    sp.add_argument("--out", default=None, help="output directory")
     sp.add_argument("--override", action="append", default=[],
                     metavar="SECTION.KEY=VALUE", help="config override (repeatable)")
-    sp.add_argument("--force", action="store_true",
-                    help="ignore checkpoint/config digest mismatches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,18 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="CTR prediction with max-mean and bit-wise attention")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, extra in (
-            ("train", cmd_train, None),
-            ("evaluate", cmd_evaluate, "eval"),
-            ("ablate", cmd_ablate, None),
-            ("sweep", cmd_sweep, "sweep"),
-            ("gradcheck", cmd_gradcheck, None)):
+    for name, func in (("train", cmd_train), ("evaluate", cmd_evaluate),
+                       ("ablate", cmd_ablate), ("sweep", cmd_sweep),
+                       ("gradcheck", cmd_gradcheck)):
         sp = sub.add_parser(name)
         _add_run_flags(sp)
-        if extra == "eval":
+        if name != "gradcheck":
+            sp.add_argument("--out", default=None, help="output directory")
+        if name == "evaluate":
             sp.add_argument("--checkpoint", default=None,
                             help="checkpoint path (default: <out>/seed_<s>/checkpoint.mmbc)")
-        if extra == "sweep":
+            sp.add_argument("--force", action="store_true",
+                            help="ignore checkpoint/config digest mismatches")
+        if name == "sweep":
             sp.add_argument("--axis", required=True, choices=sorted(_SWEEP_KEYS))
             sp.add_argument("--values", required=True,
                             help="comma-separated values to sweep")

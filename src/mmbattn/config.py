@@ -94,7 +94,6 @@ _RUN_KEYS: dict[str, tuple] = {
     "attn.use_mean": (_parse_bool, True),
     "attn.use_bitwise": (_parse_bool, True),
     "attn.reduction_ratio": (int, 3),
-    "attn.combine_mode": (str, "residual_product"),
     "train.learning_rate": (float, 1e-3),
     "train.batch_size": (int, 4096),
     "train.max_epochs": (int, 10),
@@ -146,16 +145,14 @@ class RunConfig:
             use_mean=self.values["attn.use_mean"],
             use_bitwise=self.values["attn.use_bitwise"],
             reduction_ratio=self.values["attn.reduction_ratio"],
-            combine_mode=self.values["attn.combine_mode"],
         )
 
-    def train_config(self, eval_batch_size: int = 8192) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.values["train.learning_rate"],
             batch_size=self.values["train.batch_size"],
             max_epochs=self.values["train.max_epochs"],
             patience=self.values["train.patience"],
-            eval_batch_size=eval_batch_size,
         )
 
     def path(self, key: str) -> Path:

@@ -215,8 +215,8 @@ def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_vocab_rows(header: list[str], rows: list[list[str]],
-                     schema: FieldSchema, min_count: int | None = None) -> Vocabulary:
-    mc = schema.min_count if min_count is None else min_count
+                     schema: FieldSchema) -> Vocabulary:
+    mc = schema.min_count
     cols = _columns(header, rows, schema, schema.field_names)
     maps: list[dict[str, int]] = []
     bounds: list[np.ndarray | None] = []
@@ -238,14 +238,14 @@ def build_vocab_rows(header: list[str], rows: list[list[str]],
     return Vocabulary(maps, bounds)
 
 
-def build_vocab(source, schema: FieldSchema, min_count: int | None = None) -> Vocabulary:
+def build_vocab(source, schema: FieldSchema) -> Vocabulary:
     """Build per-field vocabularies from a CSV stream.
 
-    Values seen fewer than ``min_count`` times map to the OOV index 0;
+    Values seen fewer than ``schema.min_count`` times map to the OOV index 0;
     the rest get contiguous indices in first-seen order starting at 1.
     """
     header, rows = read_table(source, schema.delimiter)
-    return build_vocab_rows(header, rows, schema, min_count)
+    return build_vocab_rows(header, rows, schema)
 
 
 def encode_rows(header: list[str], rows: list[list[str]],

@@ -4,21 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import COMBINE_MODES, MMBAttnConfig
+from .attention import ABLATION_ROWS, MMBAttnConfig
 from .autograd import Graph
 from .data import Batch, FieldSchema, Vocabulary
 from .model import TowerConfig, build
 from .training import _logits_bce_value, bce_with_logits
-
-# base DNN, single branches, pairs, full module: the six ablation rows
-ABLATION_TOGGLES = (
-    ("base", (False, False, False)),
-    ("mean", (False, True, False)),
-    ("max", (True, False, False)),
-    ("bitwise", (False, False, True)),
-    ("max_mean", (True, True, False)),
-    ("max_mean_bitwise", (True, True, True)),
-)
 
 
 def _loss_value(model, batch: Batch) -> float:
@@ -69,19 +59,16 @@ def check_model(model, batch: Batch, h: float = 1e-5) -> dict[str, float]:
 def run_gradcheck(schema: FieldSchema, vocab: Vocabulary, batch: Batch, d: int,
                   tower: TowerConfig, reduction_ratio: int, seed: int,
                   h: float = 1e-5) -> dict[str, float]:
-    """FD comparison across both combine modes and all ablation combinations.
+    """FD comparison across all six ablation combinations.
 
     Returns the max relative error per parameter group, aggregated over
     every configuration in which the group exists.
     """
     worst: dict[str, float] = {}
-    for mode in COMBINE_MODES:
-        for _, (use_max, use_mean, use_bit) in ABLATION_TOGGLES:
-            attn = MMBAttnConfig(use_max=use_max, use_mean=use_mean,
-                                 use_bitwise=use_bit,
-                                 reduction_ratio=reduction_ratio,
-                                 combine_mode=mode)
-            model = build(schema, vocab, d, attn, tower, seed)
-            for name, err in check_model(model, batch, h).items():
-                worst[name] = max(worst.get(name, 0.0), err)
+    for _, _, (use_max, use_mean, use_bit) in ABLATION_ROWS:
+        attn = MMBAttnConfig(use_max=use_max, use_mean=use_mean, use_bitwise=use_bit,
+                             reduction_ratio=reduction_ratio)
+        model = build(schema, vocab, d, attn, tower, seed)
+        for name, err in check_model(model, batch, h).items():
+            worst[name] = max(worst.get(name, 0.0), err)
     return worst

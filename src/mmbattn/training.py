@@ -25,9 +25,6 @@ class TrainConfig:
     batch_size: int = 4096
     max_epochs: int = 10
     patience: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     eval_batch_size: int = 8192
 
     def __post_init__(self):
@@ -102,6 +99,10 @@ def auc(scores, labels) -> float:
 
 # -- Adam ----------------------------------------------------------------
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def init_adam_state(registry: dict[str, Tensor]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     return {name: (np.zeros_like(p.data), np.zeros_like(p.data))
@@ -114,18 +115,18 @@ def adam_step(registry: dict[str, Tensor], grads: dict[str, np.ndarray | None],
     """One bias-corrected Adam update, deterministic given its inputs."""
     if t < 1:
         raise ContractError("Adam step index t must be >= 1")
-    c1 = 1.0 - config.beta1 ** t
-    c2 = 1.0 - config.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, p in registry.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
         m, v = state[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p.data -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 # -- evaluation ----------------------------------------------------------

@@ -202,15 +202,25 @@ class TestApply:
 
     def test_zero_init_fixed_points(self):
         e = self.rand_e()
-        for mode in ("residual_product", "paper_literal"):
-            cfg = MMBAttnConfig(reduction_ratio=2, combine_mode=mode)
-            p = zero_params(3, 2, cfg)
-            collect = {}
-            apply_attention(Graph(), Tensor(e), p, cfg, collect)
-            assert np.array_equal(collect["w_max"].data, np.full((3, 3), 0.5))
-            assert np.array_equal(collect["w_mean"].data, np.full((3, 3), 0.5))
-            assert np.array_equal(collect["w_mm"].data, np.ones((3, 3)))
-            assert np.array_equal(collect["w_bit"].data, np.full((3, 6), 0.5))
+        cfg = MMBAttnConfig(reduction_ratio=2)
+        p = zero_params(3, 2, cfg)
+        collect = {}
+        apply_attention(Graph(), Tensor(e), p, cfg, collect)
+        assert np.array_equal(collect["w_max"].data, np.full((3, 3), 0.5))
+        assert np.array_equal(collect["w_mean"].data, np.full((3, 3), 0.5))
+        assert np.array_equal(collect["w_mm"].data, np.ones((3, 3)))
+        assert np.array_equal(collect["w_bit"].data, np.full((3, 6), 0.5))
+
+    def test_full_module_output_matches_numpy_oracle(self):
+        # F^MMB = F^MM + F^MM * W^B with F^MM = flatten(E * W^MM)
+        e = self.rand_e()
+        cfg = MMBAttnConfig(reduction_ratio=2)
+        p = init_attn_params(cfg, 3, 2, seed=1)
+        collect = {}
+        out = apply_attention(Graph(), Tensor(e), p, cfg, collect)
+        want = ((e * collect["w_mm"].data[:, :, None]).reshape(3, 6)
+                * (1.0 + collect["w_bit"].data))
+        assert np.allclose(out.data, want, rtol=0, atol=1e-15)
 
     def test_bit_disabled_output_is_flat_reweight(self):
         e = self.rand_e()
@@ -230,10 +240,9 @@ class TestApply:
         assert np.allclose(out.data, e.reshape(3, 6) * collect["w_bit"].data,
                            atol=1e-15)
 
-    @pytest.mark.parametrize("mode", ["residual_product", "paper_literal"])
-    def test_gradients_match_finite_differences(self, mode):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
-        cfg = MMBAttnConfig(reduction_ratio=2, combine_mode=mode)
+        cfg = MMBAttnConfig(reduction_ratio=2)
         params = init_attn_params(cfg, 3, 2, seed=5)
         e_data = rng.normal(size=(4, 3, 2))
         target = rng.normal(size=(4, 6))
@@ -265,7 +274,7 @@ class TestApply:
                 nf[i] = (up - down) / (2 * h)
             rel = np.abs(analytic - numeric) / np.maximum(
                 np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-            assert rel.max() < 1e-4, f"{mode}/{name}: {rel.max()}"
+            assert rel.max() < 1e-4, f"{name}: {rel.max()}"
 
     def test_field_permutation_equivariance_full_module(self):
         rng = np.random.default_rng(31)
@@ -290,8 +299,9 @@ class TestConfigAndCounts:
             MMBAttnConfig(reduction_ratio=0)
 
     def test_bad_combine_mode(self):
-        with pytest.raises(ConfigError, match="combine_mode"):
-            MMBAttnConfig(combine_mode="both")
+        for mode in ("both", "paper_literal"):
+            with pytest.raises(ConfigError, match="combine_mode"):
+                MMBAttnConfig(combine_mode=mode)
 
     def test_hidden_width_clamped(self):
         assert hidden_width(8, 3) == 2

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +140,20 @@ class TestEvaluateCommand:
                        "--checkpoint", str(ckpt)])
         assert rc == 1
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_force_loads_despite_digest_mismatch(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        test_record = read_metrics(out / "seed_1" / "metrics.jsonl")[-1]
+        # a learning-rate override changes the digest but not the manifest
+        args = ["evaluate", "--config", str(cfg), "--out", str(out),
+                "--override", "train.learning_rate=0.5"]
+        assert cli.main(args) == 1
+        capsys.readouterr()
+        assert cli.main(args + ["--force"]) == 0
+        printed = json.loads(capsys.readouterr().out.strip())
+        assert printed["auc"] == test_record["auc"]
 
     def test_before_training_nonzero_exit(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
@@ -419,3 +435,34 @@ class TestCsvPipeline:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {valid}: ")
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--force"],
+        ["ablate", "--force"],
+        ["sweep", "--axis", "embedding_dim", "--values", "2", "--force"],
+        ["gradcheck", "--force"],
+        ["gradcheck", "--out", "runs/x"],
+    ])
+    def test_flag_on_command_that_never_reads_it_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "--config", str(CONFIGS / "tiny.conf"), *argv[1:]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_common_flags_equal_shared_run_flags(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        sentence = text.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(--[a-z-]+)", sentence))
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        run_commands = [sp for sp in sub.choices.values()
+                        if any("--config" in a.option_strings for a in sp._actions)]
+        shared = set.intersection(*(
+            {opt for a in sp._actions for opt in a.option_strings
+             if opt.startswith("--") and opt != "--help"}
+            for sp in run_commands))
+        assert len(run_commands) == 5
+        assert documented == shared

@@ -79,6 +79,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config key 'data.cache_dir'"):
             load_run_config(cfg_dir / "run.conf", ["data.cache_dir=cache"])
 
+    def test_removed_combine_mode_key_rejected(self, cfg_dir):
+        with pytest.raises(ConfigError, match="unknown config key 'attn.combine_mode'"):
+            load_run_config(cfg_dir / "run.conf", ["attn.combine_mode=residual_product"])
+
     def test_digest_independent_of_key_order(self, cfg_dir):
         lines = TINY.strip().splitlines()
         (cfg_dir / "reordered.conf").write_text("\n".join(reversed(lines)) + "\n")

@@ -42,8 +42,9 @@ class TestBuildVocab:
         assert vocab.sizes == [3]  # OOV included
 
     def test_min_count_threshold(self):
-        vocab = build_vocab(csv_stream("f,y\na,1\nb,0\na,1\n"),
-                            one_field_schema(), min_count=2)
+        schema = FieldSchema(fields=(("f", CATEGORICAL),), label_column="y",
+                             min_count=2)
+        vocab = build_vocab(csv_stream("f,y\na,1\nb,0\na,1\n"), schema)
         assert vocab.maps[0] == {"a": 1}
         assert vocab.index_of(0, "b") == 0
 

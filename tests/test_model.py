@@ -138,7 +138,7 @@ class TestEndToEndGradcheck:
         errs = check_model(model, batch)
         assert max(errs.values()) < 1e-4
 
-    def test_run_gradcheck_covers_modes_and_combos(self):
+    def test_run_gradcheck_covers_all_combos(self):
         rng = np.random.default_rng(18)
         schema, vocab = schema_of(3), vocab_of([4, 4, 4])
         batch = batch_of(rng.integers(0, 4, size=(4, 3)),
