@@ -37,7 +37,6 @@ def save_checkpoint(path, registry: dict[str, Tensor], config_digest: bytes) -> 
         raise ContractError("config digest must be 32 bytes (SHA-256)")
     chunks = [MAGIC, struct.pack("<H", VERSION), config_digest,
               struct.pack("<I", len(registry))]
-    payloads = []
     offset = 0
     for name, tensor in registry.items():
         encoded = name.encode("utf-8")
@@ -48,9 +47,9 @@ def save_checkpoint(path, registry: dict[str, Tensor], config_digest: bytes) -> 
         chunks.append(struct.pack(f"<{len(shape)}I", *shape))
         chunks.append(struct.pack("<Q", offset))
         offset += tensor.data.size
-        payloads.append(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
     chunks.append(struct.pack("<Q", offset))
-    chunks.extend(payloads)
+    chunks.extend(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                  for t in registry.values())
     write_atomic(path, b"".join(chunks))
 
 
@@ -133,21 +132,16 @@ def load_checkpoint(path) -> Checkpoint:
 
 def restore_model(model, ckpt: Checkpoint, expected_digest: bytes | None = None,
                   force: bool = False) -> None:
-    """Copy checkpoint parameters into the model's registry (names must match)."""
+    """Copy the payload into ``model.params``; names and shapes must match.
+
+    The payload is in registry order, the layout of ``model.params``."""
     if expected_digest is not None and ckpt.digest != expected_digest and not force:
         raise CheckpointError(
             f"config digest mismatch: checkpoint {ckpt.digest.hex()} vs "
             f"current {expected_digest.hex()} (use --force to load anyway)")
-    registry = model.registry
-    ckpt_names = [name for name, _, _ in ckpt.entries]
-    if ckpt_names != list(registry):
-        raise CheckpointError(
-            f"parameter manifest mismatch: checkpoint has {ckpt_names}, "
-            f"model expects {list(registry)}")
-    for name, shape, offset in ckpt.entries:
-        tensor = registry[name]
-        if tuple(shape) != tensor.data.shape:
-            raise CheckpointError(f"shape mismatch for {name!r}: "
-                                  f"checkpoint {shape}, model {tensor.data.shape}")
-        size = tensor.data.size
-        tensor.data[...] = ckpt.payload[offset:offset + size].reshape(shape)
+    have = [(name, tuple(shape)) for name, shape, _ in ckpt.entries]
+    want = [(name, t.shape) for name, t in model.registry.items()]
+    if have != want:
+        raise CheckpointError(f"parameter manifest mismatch: checkpoint has {have}, "
+                              f"model expects {want}")
+    model.params[...] = ckpt.payload

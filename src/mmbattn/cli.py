@@ -15,9 +15,9 @@ import numpy as np
 from . import checkpoint as ckpt
 from .attention import ABLATION_ROWS
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
-from .data import (Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
-                   hash_split, read_table, synth_generate, synth_write_csv)
-from .errors import ConfigError, MMBAttnError
+from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows,
+                   encode_rows, hash_split, read_table, synth_generate, synth_write_csv)
+from .errors import ConfigError, DataError, MMBAttnError
 from .gradcheck import run_gradcheck
 from .model import TowerConfig, build
 from .seeding import derive_seed
@@ -36,28 +36,37 @@ class PreparedData:
     truth: object | None = None
 
     def digests(self) -> dict[str, str]:
-        return {"train": self.train.digest(), "valid": self.valid.digest(),
-                "test": self.test.digest()}
+        return {split: getattr(self, split).digest() for split in SPLITS}
 
 
 def prepare_data(cfg: RunConfig) -> PreparedData:
+    """Load the configured splits; refuse a valid or test split AUC cannot score."""
     if cfg.values["data.synth"] is not None:
-        spec = load_synth_spec(cfg.path("data.synth"))
+        sources = (cfg.path("data.synth"),) * 3
+        spec = load_synth_spec(sources[0])
         train_b, valid_b, test_b, truth = synth_generate(spec)
-        return PreparedData(spec.schema(), spec.vocabulary(),
-                            train_b, valid_b, test_b, truth)
-
-    schema = load_schema(cfg.path("data.schema"))
-    if cfg.values["data.file"] is not None:
-        header, rows = read_table(cfg.path("data.file"), schema.delimiter)
-        parts = [(header, [rows[i] for i in idx]) for idx in hash_split(len(rows))]
-    else:  # each pre-split file is read by its own header
-        parts = [read_table(cfg.path(key), schema.delimiter)
-                 for key in ("data.train", "data.valid", "data.test")]
-
-    vocab = build_vocab_rows(*parts[0], schema)
-    splits = [encode_rows(header, rows, schema, vocab) for header, rows in parts]
-    return PreparedData(schema, vocab, *splits)
+        prepared = PreparedData(spec.schema(), spec.vocabulary(),
+                                train_b, valid_b, test_b, truth)
+    else:
+        schema = load_schema(cfg.path("data.schema"))
+        if cfg.values["data.file"] is not None:
+            sources = (cfg.path("data.file"),) * 3
+            header, rows = read_table(sources[0], schema.delimiter)
+            parts = [(header, [rows[i] for i in idx]) for idx in hash_split(len(rows))]
+        else:  # each pre-split file is read by its own header
+            sources = tuple(cfg.path(f"data.{split}") for split in SPLITS)
+            parts = [read_table(path, schema.delimiter) for path in sources]
+        for source, split, (_, rows) in zip(sources, SPLITS, parts):
+            if not rows:
+                raise DataError(f"{source}: the {split} split has no rows")
+        vocab = build_vocab_rows(*parts[0], schema)
+        splits = [encode_rows(header, rows, schema, vocab) for header, rows in parts]
+        prepared = PreparedData(schema, vocab, *splits)
+    for source, split in zip(sources[1:], SPLITS[1:]):
+        if np.unique(getattr(prepared, split).labels).size < 2:
+            raise DataError(f"{source}: the {split} split needs both label classes "
+                            f"for AUC")
+    return prepared
 
 
 # -- single run ------------------------------------------------------------

@@ -10,12 +10,13 @@ never matters.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .attention import MMBAttnConfig
 from .data import CATEGORICAL, NUMERIC, FieldSchema, SynthSpec
-from .errors import ConfigError
+from .errors import ConfigError, MMBAttnError
 from .training import TrainConfig
 
 
@@ -46,6 +47,15 @@ def parse_kv(source) -> dict[str, str]:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
+
+
+@contextmanager
+def _naming(path):
+    """Prefix errors raised while interpreting a parsed file with its path."""
+    try:
+        yield
+    except MMBAttnError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # -- typed value parsing ---------------------------------------------------
@@ -242,7 +252,8 @@ def load_run_config(path, overrides=(), seeds=None, out=None) -> RunConfig:
         kv["run.seeds"] = ",".join(str(s) for s in seeds)
     if out is not None:
         kv["run.out"] = str(out)
-    return _resolve_run(kv, Path(path).resolve().parent)
+    with _naming(path):
+        return _resolve_run(kv, Path(path).resolve().parent)
 
 
 # -- schema files ----------------------------------------------------------
@@ -255,36 +266,37 @@ _KINDS = {"categorical": CATEGORICAL, "numeric": NUMERIC}
 def load_schema(path) -> FieldSchema:
     """Schema file: ``schema.*`` options plus ordered ``field.<name> = kind``."""
     kv = parse_kv(path)
-    fields = []
-    options: dict[str, str] = {}
-    for key, value in kv.items():
-        if key.startswith("field."):
-            name = key[len("field."):]
-            if value not in _KINDS:
-                raise ConfigError(f"field {name!r}: unknown kind {value!r} "
-                                  f"(expected categorical or numeric)")
-            fields.append((name, _KINDS[value]))
-        elif key in _SCHEMA_KEYS:
-            options[key] = value
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    if "schema.label" not in options:
-        raise ConfigError("schema.label is required")
-    delimiter = options.get("schema.delimiter", ",")
-    if delimiter == "tab":
-        delimiter = "\t"
-    counts = {}
-    for key, default in (("schema.min_count", "1"), ("schema.buckets", "10")):
-        raw = options.get(key, default)
-        try:
-            counts[key] = int(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: {key} = {raw!r} is not an integer") from None
-    return FieldSchema(fields=tuple(fields),
-                       label_column=options["schema.label"],
-                       min_count=counts["schema.min_count"],
-                       buckets=counts["schema.buckets"],
-                       delimiter=delimiter)
+    with _naming(path):
+        fields = []
+        options: dict[str, str] = {}
+        for key, value in kv.items():
+            if key.startswith("field."):
+                name = key[len("field."):]
+                if value not in _KINDS:
+                    raise ConfigError(f"field {name!r}: unknown kind {value!r} "
+                                      f"(expected categorical or numeric)")
+                fields.append((name, _KINDS[value]))
+            elif key in _SCHEMA_KEYS:
+                options[key] = value
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+        if "schema.label" not in options:
+            raise ConfigError("schema.label is required")
+        delimiter = options.get("schema.delimiter", ",")
+        if delimiter == "tab":
+            delimiter = "\t"
+        counts = {}
+        for key, default in (("schema.min_count", "1"), ("schema.buckets", "10")):
+            raw = options.get(key, default)
+            try:
+                counts[key] = int(raw)
+            except ValueError:
+                raise ConfigError(f"{key} = {raw!r} is not an integer") from None
+        return FieldSchema(fields=tuple(fields),
+                           label_column=options["schema.label"],
+                           min_count=counts["schema.min_count"],
+                           buckets=counts["schema.buckets"],
+                           delimiter=delimiter)
 
 
 # -- synthetic-data spec files ----------------------------------------------
@@ -295,24 +307,25 @@ _SYNTH_KEYS = {"synth.rows", "synth.fields", "synth.cardinality",
 
 def load_synth_spec(path) -> SynthSpec:
     kv = parse_kv(path)
-    unknown = [k for k in kv if k not in _SYNTH_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    for required in ("synth.rows", "synth.fields", "synth.informative"):
-        if required not in kv:
-            raise ConfigError(f"{required} is required")
-    try:
-        n_fields = int(kv["synth.fields"])
-        cards = _parse_int_list(kv.get("synth.cardinality", "8"))
-        informative = _parse_int_list(kv["synth.informative"])
-        n_rows = int(kv["synth.rows"])
-        weight_scale = float(kv.get("synth.weight_scale", "2.0"))
-        seed = int(kv.get("synth.seed", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"bad synth spec value: {exc}") from None
-    if len(cards) == 1:
-        cards = cards * n_fields
-    if len(cards) != n_fields:
-        raise ConfigError("synth.cardinality must have one entry or one per field")
-    return SynthSpec(n_rows=n_rows, cardinalities=cards, informative=informative,
-                     weight_scale=weight_scale, seed=seed)
+    with _naming(path):
+        unknown = [k for k in kv if k not in _SYNTH_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        for required in ("synth.rows", "synth.fields", "synth.informative"):
+            if required not in kv:
+                raise ConfigError(f"{required} is required")
+        try:
+            n_fields = int(kv["synth.fields"])
+            cards = _parse_int_list(kv.get("synth.cardinality", "8"))
+            informative = _parse_int_list(kv["synth.informative"])
+            n_rows = int(kv["synth.rows"])
+            weight_scale = float(kv.get("synth.weight_scale", "2.0"))
+            seed = int(kv.get("synth.seed", "0"))
+        except ValueError as exc:
+            raise ConfigError(f"bad synth spec value: {exc}") from None
+        if len(cards) == 1:
+            cards = cards * n_fields
+        if len(cards) != n_fields:
+            raise ConfigError("synth.cardinality must have one entry or one per field")
+        return SynthSpec(n_rows=n_rows, cardinalities=cards, informative=informative,
+                         weight_scale=weight_scale, seed=seed)

@@ -19,6 +19,7 @@ from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
+SPLITS = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
@@ -448,12 +449,6 @@ def synth_table(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     return values, labels
 
 
-def _split_sizes(n: int) -> tuple[int, int, int]:
-    n_train = int(n * 0.8)
-    n_valid = int(n * 0.1)
-    return n_train, n_valid, n - n_train - n_valid
-
-
 def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
     """Generate encoded train/valid/test splits (8:1:1) plus ground truth."""
     truth = synth_truth(spec)
@@ -462,7 +457,8 @@ def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
                              "reduce weight_scale or reseed")
     values, labels = synth_table(spec)
     full = Batch((values + 1).astype(np.uint32), labels)
-    n_train, n_valid, _ = _split_sizes(spec.n_rows)
+    n_train = int(spec.n_rows * 0.8)
+    n_valid = int(spec.n_rows * 0.1)
     train = full.take(slice(0, n_train))
     valid = full.take(slice(n_train, n_train + n_valid))
     test = full.take(slice(n_train + n_valid, spec.n_rows))
@@ -475,22 +471,12 @@ def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    truth = synth_truth(spec)
-    if not 0.05 < truth.base_rate < 0.95:
-        raise SynthSpecError(f"label base rate {truth.base_rate:.4f} outside (0.05, 0.95); "
-                             "reduce weight_scale or reseed")
-    values, labels = synth_table(spec)
-    n_train, n_valid, n_test = _split_sizes(spec.n_rows)
-    bounds = {"train": (0, n_train),
-              "valid": (n_train, n_train + n_valid),
-              "test": (n_train + n_valid, spec.n_rows)}
+    *splits, truth = synth_generate(spec)
     header = ",".join((*spec.field_names, "label"))
-    for split, (lo, hi) in bounds.items():
+    for split, batch in zip(SPLITS, splits):
         lines = [header]
-        for r in range(lo, hi):
-            cells = [f"v{values[r, f]}" for f in range(spec.n_fields)]
-            cells.append(str(int(labels[r])))
-            lines.append(",".join(cells))
+        for idx, label in zip(batch.indices, batch.labels):
+            lines.append(",".join([*(f"v{i - 1}" for i in idx), str(int(label))]))
         (out / f"{split}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     truth_doc = {
         "fields": list(spec.field_names),
@@ -501,4 +487,4 @@ def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
     }
     (out / "ground_truth.json").write_text(
         json.dumps(truth_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return {"train": n_train, "valid": n_valid, "test": n_test}
+    return {split: batch.n for split, batch in zip(SPLITS, splits)}

@@ -1,10 +1,10 @@
-"""Per-field embedding tables: row gather forward, scatter-add backward."""
+"""Stacked embedding tables: row gather forward, scatter-add backward."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Graph, Tensor, accumulate_grad
+from .autograd import Graph, Tensor
 from .data import Batch, FieldSchema, Vocabulary
 from .errors import ConfigError, ContractError
 from .seeding import derive_seed
@@ -13,18 +13,19 @@ INIT_STD = 0.01
 
 
 class EmbeddingTable:
-    """One (V_f × d) float64 matrix per schema field, shared dimension d."""
+    """Every field's (V_f × d) table stacked into one (ΣV_f × d) tensor.
 
-    def __init__(self, field_names, tables):
+    Field f owns rows ``offsets[f]`` to ``offsets[f] + sizes[f]``.
+    """
+
+    def __init__(self, field_names, sizes, table: Tensor):
         self.field_names = tuple(field_names)
-        self.tables: list[Tensor] = list(tables)
-        if not self.tables:
-            raise ContractError("embedding needs at least one field table")
-        self.d = self.tables[0].shape[1]
-
-    @property
-    def n_fields(self) -> int:
-        return len(self.tables)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        if not self.field_names or self.sizes.shape != (len(self.field_names),) \
+                or table.data.ndim != 2 or table.shape[0] != self.sizes.sum():
+            raise ContractError(f"need one size per field for a {table.shape} table")
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.table = table
 
 
 def init_embeddings(schema: FieldSchema, vocab: Vocabulary, d: int,
@@ -32,39 +33,35 @@ def init_embeddings(schema: FieldSchema, vocab: Vocabulary, d: int,
     """Seeded Normal(0, 0.01^2) tables; row 0 (OOV) initialized like any row."""
     if d < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
-    tables = []
-    for name, size in zip(schema.field_names, vocab.sizes):
-        rng = np.random.default_rng(derive_seed(seed, f"init:embed.{name}"))
-        tables.append(Tensor(rng.normal(0.0, INIT_STD, size=(size, d)),
-                             requires_grad=True))
-    return EmbeddingTable(schema.field_names, tables)
+    tables = [np.random.default_rng(derive_seed(seed, f"init:embed.{name}"))
+              .normal(0.0, INIT_STD, size=(size, d))
+              for name, size in zip(schema.field_names, vocab.sizes)]
+    return EmbeddingTable(schema.field_names, vocab.sizes,
+                          Tensor(np.concatenate(tables), requires_grad=True))
 
 
 def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:
     """Gather per-field embedding rows into a (B × F × d) tensor.
 
     Equivalent to multiplying one-hot index vectors by each table;
-    backward scatter-adds gradients into the selected rows only.
+    backward scatter-adds gradients into the selected rows only.  Rows of
+    different fields never collide, so each row sums its contributions in
+    batch order, as a per-field scatter would.
     """
     idx = batch.indices
-    if idx.shape[1] != emb.n_fields:
-        raise ContractError(f"batch has {idx.shape[1]} fields, tables have {emb.n_fields}")
-    out = np.empty((idx.shape[0], emb.n_fields, emb.d), dtype=np.float64)
-    for f, t in enumerate(emb.tables):
-        try:
-            out[:, f, :] = t.data[idx[:, f]]
-        except IndexError:
-            name = emb.field_names[f]
-            raise ContractError(f"index out of range for field {name!r}") from None
-
-    tables = emb.tables
+    if idx.shape[1] != len(emb.sizes):
+        raise ContractError(f"batch has {idx.shape[1]} fields, "
+                            f"tables have {len(emb.sizes)}")
+    over = (idx >= emb.sizes).any(axis=0)
+    if over.any():
+        name = emb.field_names[int(np.argmax(over))]
+        raise ContractError(f"index out of range for field {name!r}")
+    rows = idx + emb.offsets
+    table = emb.table
 
     def backward(grad: np.ndarray) -> None:
-        for f, t in enumerate(tables):
-            if not t.requires_grad:
-                continue
-            gt = np.zeros_like(t.data)
-            np.add.at(gt, idx[:, f], grad[:, f, :])
-            accumulate_grad(t, gt)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, rows, grad)
 
-    return g.record_op(out, tables, backward)
+    return g.record_op(np.take(table.data, rows, axis=0), (table,), backward)

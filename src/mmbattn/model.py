@@ -32,7 +32,8 @@ class Model:
     branch weights (max, mean, bit), then tower weight/bias pairs
     bottom-up.  Every parameter's init stream is keyed by its own name,
     so toggling attention components never shifts the other parameters'
-    initial values.
+    initial values.  Each registry tensor's ``data`` and ``grad`` are
+    views into ``params`` and ``grads`` at its registry offset.
     """
 
     def __init__(self, schema: FieldSchema, vocab: Vocabulary,
@@ -40,7 +41,8 @@ class Model:
                  attn_config: MMBAttnConfig | None,
                  attn_params: AttnParams | None,
                  tower: list[tuple[Tensor, Tensor]],
-                 registry: dict[str, Tensor]):
+                 registry: dict[str, Tensor],
+                 params: np.ndarray, grads: np.ndarray):
         self.schema = schema
         self.vocab = vocab
         self.embedding = embedding
@@ -48,21 +50,17 @@ class Model:
         self.attn_params = attn_params
         self.tower = tower
         self.registry = registry
-
-    @property
-    def d(self) -> int:
-        return self.embedding.d
+        self.params = params
+        self.grads = grads
 
     def zero_grad(self) -> None:
-        for t in self.registry.values():
-            t.grad = None
+        self.grads.fill(0.0)
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.registry.items()}
+    def snapshot(self) -> np.ndarray:
+        return self.params.copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, t in self.registry.items():
-            t.data[...] = snap[name]
+    def restore(self, snap: np.ndarray) -> None:
+        self.params[...] = snap
 
     def forward_logits(self, g: Graph, batch: Batch,
                        collect: dict | None = None) -> Tensor:
@@ -96,18 +94,13 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
           attn_config: MMBAttnConfig | None, tower_config: TowerConfig,
           seed: int) -> Model:
     """Deterministic model construction with a documented registry order."""
-    if d < 1:
-        raise ConfigError("model.embedding_dim must be >= 1")
     embedding = init_embeddings(schema, vocab, d, seed)
-    registry: dict[str, Tensor] = {}
-    for name, table in zip(embedding.field_names, embedding.tables):
-        registry[f"embed.{name}"] = table
-
     cfg = attn_config if (attn_config is not None and attn_config.enabled) else None
     attn_params = None
+    dense: dict[str, Tensor] = {}
     if cfg is not None:
         attn_params = init_attn_params(cfg, schema.n_fields, d, seed)
-        registry.update(attn_params.named())
+        dense.update(attn_params.named())
 
     widths = [schema.n_fields * d, *tower_config.hidden_sizes, 1]
     tower: list[tuple[Tensor, Tensor]] = []
@@ -116,8 +109,28 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
         w = Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)),
                    requires_grad=True)
         b = Tensor(np.zeros(fan_out), requires_grad=True)
-        registry[f"tower.{i}.weight"] = w
-        registry[f"tower.{i}.bias"] = b
+        dense[f"tower.{i}.weight"] = w
+        dense[f"tower.{i}.bias"] = b
         tower.append((w, b))
 
-    return Model(schema, vocab, embedding, cfg, attn_params, tower, registry)
+    # Move every parameter into one vector, in registry order (the stacked
+    # embedding table first), and give each a gradient view of a twin.
+    tensors = [embedding.table, *dense.values()]
+    params = np.concatenate([t.data.ravel() for t in tensors])
+    grads = np.zeros_like(params)
+    start = 0
+    for t in tensors:
+        data = t.data
+        end = start + data.size
+        t.data = params[start:end].reshape(data.shape)
+        t.grad = grads[start:end].reshape(data.shape)
+        start = end
+    table = embedding.table
+    registry: dict[str, Tensor] = {}
+    for name, lo, hi in zip(embedding.field_names, embedding.offsets.tolist(),
+                            (embedding.offsets + embedding.sizes).tolist()):
+        registry[f"embed.{name}"] = rows = Tensor(table.data[lo:hi], requires_grad=True)
+        rows.grad = table.grad[lo:hi]
+    registry.update(dense)
+    return Model(schema, vocab, embedding, cfg, attn_params, tower, registry,
+                 params, grads)

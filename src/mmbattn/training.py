@@ -104,29 +104,29 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-def init_adam_state(registry: dict[str, Tensor]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {name: (np.zeros_like(p.data), np.zeros_like(p.data))
-            for name, p in registry.items()}
+def init_adam_state(params: dict[str, np.ndarray]
+                    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    return {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
 
 
-def adam_step(registry: dict[str, Tensor], grads: dict[str, np.ndarray | None],
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: dict[str, tuple[np.ndarray, np.ndarray]],
               config: TrainConfig, t: int) -> None:
-    """One bias-corrected Adam update, deterministic given its inputs."""
+    """One bias-corrected Adam update per named array, in place.
+
+    ``train`` passes ``Model.params`` as one entry: one vectorised update."""
     if t < 1:
         raise ContractError("Adam step index t must be >= 1")
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    for name, p in registry.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+    for name, p in params.items():
+        g = grads[name]
         m, v = state[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        p.data -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
+        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 # -- evaluation ----------------------------------------------------------
@@ -228,7 +228,8 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     keeps the library's default count.
     """
     shuffle_seed = derive_seed(run_seed, "shuffle")
-    state = init_adam_state(model.registry)
+    params, grads = {"params": model.params}, {"params": model.grads}
+    state = init_adam_state(params)
     stopper = EarlyStopper(config.patience)
     best = model.snapshot()
     history: list[dict] = []
@@ -252,9 +253,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
                 model.zero_grad()
                 g.backward(loss)
                 step += 1
-                adam_step(model.registry,
-                          {name: p.grad for name, p in model.registry.items()},
-                          state, config, step)
+                adam_step(params, grads, state, config, step)
                 losses.append(float(loss.data))
         report = evaluate(model, valid_data, config.eval_batch_size, eval_threads)
         record = {"epoch": epoch, "split": "valid", "auc": report.auc,

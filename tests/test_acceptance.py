@@ -149,6 +149,7 @@ def planted_runs(tmp_path_factory):
             "full_seconds": full_seconds, "out_root": out_root}
 
 
+@pytest.mark.slow
 class TestPlantedImportanceRecovery:
     def test_recovery(self, planted_runs, report):
         spec = planted_runs["spec"]
@@ -170,6 +171,7 @@ class TestPlantedImportanceRecovery:
                + "; ".join(details))
 
 
+@pytest.mark.slow
 class TestAblationDirection:
     def test_full_at_least_base(self, planted_runs, report):
         full_mean = float(np.mean([r["auc"] for r in planted_runs["full"].values()]))

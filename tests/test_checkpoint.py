@@ -55,6 +55,13 @@ class TestRoundTrip:
             expected += int(np.prod(shape))
         assert expected == ckpt.payload.size
 
+    def test_payload_bytes_equal_parameter_vector(self, tmp_path):
+        model = make_model(MMBAttnConfig(reduction_ratio=2))
+        path = tmp_path / "model.mmbc"
+        save_checkpoint(path, model.registry, DIGEST)
+        payload = model.params.astype("<f8").tobytes()
+        assert path.read_bytes()[-len(payload):] == payload
+
 
 class TestRejections:
     def test_truncated_file_names_byte_offset(self, tmp_path):

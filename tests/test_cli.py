@@ -437,6 +437,71 @@ class TestCsvPipeline:
         assert err.startswith(f"error: {valid}: ")
 
 
+    def test_single_file_with_empty_split_names_file_and_split(self, tmp_path, capsys):
+        cfg = self.write_csv_run(tmp_path, single_file=True)
+        data = tmp_path / "data" / "train.csv"
+        data.write_text("".join(data.read_text().splitlines(keepends=True)[:6]))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert re.match(rf"error: {re.escape(str(data))}: the (valid|test) split has no rows",
+                        err)
+        assert not (tmp_path / "o").exists()
+
+    def test_single_class_valid_csv_fails_before_training(self, tmp_path, capsys):
+        cfg = self.write_csv_run(tmp_path)
+        valid = tmp_path / "data" / "valid.csv"
+        header, *rows = valid.read_text().splitlines(keepends=True)
+        label = header.rstrip().split(",").index("label")
+        valid.write_text(header + "".join(r for r in rows
+                                          if r.rstrip().split(",")[label] == "0"))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {valid}: the valid split needs both label classes")
+        assert not (tmp_path / "o").exists()
+
+
+class TestConfigErrorsNameTheirFile:
+    def run_error(self, cfg, capsys, tmp_path):
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.batch_size = many", "bad value for train.batch_size"),
+        ("train.batch_size = 0", "batch sizes must be >= 1"),
+        ("train.batch_size", ":7: expected 'key = value'"),
+    ])
+    def test_run_config(self, tmp_path, capsys, line, message):
+        cfg = write_tiny_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("train.batch_size = 256", line))
+        err = self.run_error(cfg, capsys, tmp_path)
+        assert err.startswith(f"error: {cfg}") and message in err
+        assert err.count(str(cfg)) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("synth.bogus = 1", "unknown config key 'synth.bogus'"),
+        ("synth.rows = lots", "bad synth spec value"),
+        ("synth.informative = 0,7", "informative field index out of range"),
+    ])
+    def test_synth_spec(self, tmp_path, capsys, line, message):
+        cfg = write_tiny_config(tmp_path)
+        spec = tmp_path / "synth.conf"
+        key = line.split("=")[0].strip()
+        kept = [ln for ln in spec.read_text().splitlines() if not ln.startswith(key)]
+        spec.write_text("\n".join([*kept, line]) + "\n")
+        err = self.run_error(cfg, capsys, tmp_path)
+        assert err.startswith(f"error: {spec}: ") and message in err
+        assert err.count(str(spec)) == 1
+
+    def test_schema(self, tmp_path, capsys):
+        cfg = TestCsvPipeline().write_csv_run(tmp_path)
+        schema = tmp_path / "schema.conf"
+        schema.write_text(schema.read_text().replace("field.f1 = categorical",
+                                                     "field.f1 = categorial"))
+        err = self.run_error(cfg, capsys, tmp_path)
+        assert err.startswith(f"error: {schema}: field 'f1': unknown kind 'categorial'")
+        assert err.count(str(schema)) == 1
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["train", "--force"],

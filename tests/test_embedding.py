@@ -24,13 +24,13 @@ def batch_of(indices):
 
 class TestLookup:
     def test_row_gather(self):
-        emb = EmbeddingTable(("f0",), [Tensor([[0.0, 0.0], [1.0, 2.0]])])
+        emb = EmbeddingTable(("f0",), [2], Tensor([[0.0, 0.0], [1.0, 2.0]]))
         out = lookup(Graph(), emb, batch_of([[1]]))
         assert out.data.tolist() == [[[1.0, 2.0]]]
 
     def test_scatter_add_counts_multiplicity(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
-        emb = EmbeddingTable(("f0",), [table])
+        emb = EmbeddingTable(("f0",), [table.shape[0]], table)
         g = Graph()
         out = lookup(g, emb, batch_of([[1], [1], [2]]))
         s = g.reduce_mean(g.reduce_mean(g.reduce_mean(out, 2), 1), 0)
@@ -41,7 +41,7 @@ class TestLookup:
     def test_equivalent_to_onehot_matmul(self):
         rng = np.random.default_rng(8)
         w = rng.normal(size=(6, 3))
-        emb = EmbeddingTable(("f0",), [Tensor(w)])
+        emb = EmbeddingTable(("f0",), [6], Tensor(w))
         idx = rng.integers(0, 6, size=(10, 1)).astype(np.uint32)
         got = lookup(Graph(), emb, batch_of(idx)).data[:, 0, :]
         onehot = np.zeros((10, 6))
@@ -49,14 +49,45 @@ class TestLookup:
         assert np.array_equal(got, onehot @ w)
 
     def test_out_of_range_contract_error(self):
-        emb = EmbeddingTable(("f0",), [Tensor(np.zeros((2, 2)))])
+        emb = EmbeddingTable(("f0",), [2], Tensor(np.zeros((2, 2))))
         with pytest.raises(ContractError, match="f0"):
             lookup(Graph(), emb, batch_of([[5]]))
+
+    def test_index_past_field_rows_names_field(self):
+        # index 2 in field 0 would be field 1's row 0 in the stacked table
+        table = Tensor(np.arange(10.0).reshape(5, 2))
+        emb = EmbeddingTable(("f0", "f1"), [2, 3], table)
+        assert lookup(Graph(), emb, batch_of([[1, 0]])).data.tolist() == [[[2.0, 3.0],
+                                                                           [4.0, 5.0]]]
+        with pytest.raises(ContractError, match="'f0'"):
+            lookup(Graph(), emb, batch_of([[2, 0]]))
+        with pytest.raises(ContractError, match="'f1'"):
+            lookup(Graph(), emb, batch_of([[0, 3]]))
+
+    def test_matches_per_field_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        sizes = [4, 2, 5]
+        table = Tensor(rng.normal(size=(sum(sizes), 3)), requires_grad=True)
+        emb = EmbeddingTable(("f0", "f1", "f2"), sizes, table)
+        idx = np.stack([rng.integers(0, n, size=64) for n in sizes], axis=1)
+        upstream = rng.normal(size=(64, 3, 3))
+        g = Graph()
+        out = lookup(g, emb, batch_of(idx))
+        g.backward(g.reduce_mean(g.reduce_mean(g.reduce_mean(
+            g.mul(out, Tensor(upstream)), 2), 1), 0))
+        starts = np.cumsum(sizes) - sizes
+        per_field = [table.data[lo:lo + n] for lo, n in zip(starts, sizes)]
+        want = np.stack([t[idx[:, f]] for f, t in enumerate(per_field)], axis=1)
+        assert out.data.tobytes() == want.tobytes()
+        for f, (lo, n) in enumerate(zip(starts, sizes)):
+            want_grad = np.zeros((n, 3))
+            np.add.at(want_grad, idx[:, f], out.grad[:, f, :])
+            assert table.grad[lo:lo + n].tobytes() == want_grad.tobytes()
 
     def test_gradient_sparsity(self):
         rng = np.random.default_rng(1)
         table = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
-        emb = EmbeddingTable(("f0",), [table])
+        emb = EmbeddingTable(("f0",), [table.shape[0]], table)
         g = Graph()
         out = lookup(g, emb, batch_of([[2], [7]]))
         g.backward(g.reduce_mean(g.reduce_mean(g.reduce_mean(g.mul(out, out), 2), 1), 0))
@@ -71,8 +102,8 @@ class TestLookup:
         rng = np.random.default_rng(12)
         w = rng.normal(size=(5, 4))
         idx = batch_of(rng.integers(0, 5, size=(8, 1)))
-        one = lookup(Graph(), EmbeddingTable(("f0",), [Tensor(w)]), idx).data
-        scaled = lookup(Graph(), EmbeddingTable(("f0",), [Tensor(3.0 * w)]), idx).data
+        one = lookup(Graph(), EmbeddingTable(("f0",), [5], Tensor(w)), idx).data
+        scaled = lookup(Graph(), EmbeddingTable(("f0",), [5], Tensor(3.0 * w)), idx).data
         assert np.allclose(scaled, 3.0 * one)
 
 
@@ -81,15 +112,14 @@ class TestInit:
         schema, vocab = schema_of(2), vocab_of([5, 7])
         a = init_embeddings(schema, vocab, 3, seed=4)
         b = init_embeddings(schema, vocab, 3, seed=4)
-        for ta, tb in zip(a.tables, b.tables):
-            assert np.array_equal(ta.data, tb.data)
+        assert np.array_equal(a.table.data, b.table.data)
         c = init_embeddings(schema, vocab, 3, seed=5)
-        assert not np.array_equal(a.tables[0].data, c.tables[0].data)
+        assert not np.array_equal(a.table.data[:5], c.table.data[:5])
 
     def test_statistics(self):
         # 10k entries ~ N(0, 0.01^2): sample mean within 3 sigma of zero
         vocab = vocab_of([2500])
-        table = init_embeddings(schema_of(1), vocab, 4, seed=0).tables[0]
+        table = init_embeddings(schema_of(1), vocab, 4, seed=0).table
         assert table.data.shape == (2500, 4)
         assert abs(table.data.mean()) < 3 * 0.01 / np.sqrt(10000)
 

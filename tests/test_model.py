@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from mmbattn.attention import MMBAttnConfig, param_count
-from mmbattn.data import CATEGORICAL, Batch, FieldSchema, Vocabulary
+from mmbattn.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from mmbattn.data import CATEGORICAL, Batch, FieldSchema, SynthSpec, Vocabulary, synth_generate
 from mmbattn.errors import ConfigError
 from mmbattn.gradcheck import check_model, run_gradcheck
 from mmbattn.model import TowerConfig, build
+from mmbattn.training import TrainConfig, train
 
 
 def schema_of(n_fields):
@@ -123,6 +125,48 @@ class TestBuild:
             model = build(schema_of(3), vocab_of([4] * 3), 2, attn,
                           TowerConfig((5,)), seed=4)
             assert model.registry["tower.0.weight"].shape == (6, 5)
+
+
+class TestParameterStore:
+    @staticmethod
+    def assert_views(model):
+        """Each registry tensor's data and grad sit at its registry offset."""
+        start = 0
+        for name, t in model.registry.items():
+            for arr, store in ((t.data, model.params), (t.grad, model.grads)):
+                assert np.shares_memory(arr, store), name
+                assert arr.ctypes.data == store.ctypes.data + 8 * start, name
+            start += t.size
+        assert start == model.params.size == model.grads.size
+
+    def test_registry_views_survive_train_restore_and_checkpoint(self, tmp_path):
+        spec = SynthSpec(n_rows=600, cardinalities=(3, 4, 5), informative=(0,),
+                         weight_scale=4.0, seed=2)
+        tr, va, te, _ = synth_generate(spec)
+        model = build(spec.schema(), spec.vocabulary(), 2,
+                      MMBAttnConfig(reduction_ratio=2), TowerConfig((4,)), seed=3)
+        self.assert_views(model)
+        before = model.snapshot()
+        train(model, tr, va, te, TrainConfig(batch_size=64, max_epochs=1), run_seed=1)
+        assert not np.array_equal(before, model.params)
+        self.assert_views(model)
+        model.restore(before)
+        assert np.array_equal(model.params, before)
+        self.assert_views(model)
+        path = tmp_path / "m.mmbc"
+        save_checkpoint(path, model.registry, bytes(32))
+        model.params[...] = 0.0
+        restore_model(model, load_checkpoint(path))
+        assert np.array_equal(model.params, before)
+        self.assert_views(model)
+
+    def test_stacked_table_rows_are_field_views(self):
+        model = build(schema_of(2), vocab_of([3, 5]), 2, None, TowerConfig((4,)), seed=1)
+        table = model.embedding.table.data
+        assert table.shape == (8, 2)
+        assert np.array_equal(table[:3], model.registry["embed.f0"].data)
+        assert np.array_equal(table[3:], model.registry["embed.f1"].data)
+        assert np.shares_memory(table, model.params[:16])
 
 
 class TestEndToEndGradcheck:

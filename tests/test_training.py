@@ -110,13 +110,13 @@ class TestAuc:
 
 class TestAdam:
     def make_registry(self, values):
-        return {"w": Tensor(np.asarray(values, float), requires_grad=True)}
+        return {"w": np.asarray(values, float)}
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         reg = self.make_registry([1.0, -2.0])
         state = init_adam_state(reg)
         adam_step(reg, {"w": np.zeros(2)}, state, TrainConfig(), t=1)
-        assert reg["w"].data.tolist() == [1.0, -2.0]
+        assert reg["w"].tolist() == [1.0, -2.0]
 
     def test_first_step_moves_by_lr_sign(self):
         cfg = TrainConfig(learning_rate=0.01)
@@ -124,7 +124,7 @@ class TestAdam:
         state = init_adam_state(reg)
         adam_step(reg, {"w": np.array([0.5, -0.25])}, state, cfg, t=1)
         # bias-corrected m/sqrt(v) is sign(g) on step 1, up to eps effects
-        assert np.allclose(reg["w"].data, [1.0 - 0.01, 1.0 + 0.01], atol=1e-6)
+        assert np.allclose(reg["w"], [1.0 - 0.01, 1.0 + 0.01], atol=1e-6)
 
     def test_converges_on_quadratic_bowl(self):
         # minimize f(w) = sum((w - target)^2); minimum value is 0
@@ -133,9 +133,9 @@ class TestAdam:
         state = init_adam_state(reg)
         cfg = TrainConfig(learning_rate=0.05)
         for t in range(1, 101):
-            grad = 2 * (reg["w"].data - target)
+            grad = 2 * (reg["w"] - target)
             adam_step(reg, {"w": grad}, state, cfg, t)
-        assert float(np.sum((reg["w"].data - target) ** 2)) < 1e-3
+        assert float(np.sum((reg["w"] - target) ** 2)) < 1e-3
 
     def test_step_index_validated(self):
         reg = self.make_registry([1.0])
@@ -216,9 +216,8 @@ class TestTrainLoop:
             before = float(loss.data)
             model.zero_grad()
             g.backward(loss)
-            adam_step(model.registry,
-                      {k: p.grad for k, p in model.registry.items()},
-                      init_adam_state(model.registry),
+            params = {"params": model.params}
+            adam_step(params, {"params": model.grads}, init_adam_state(params),
                       TrainConfig(learning_rate=lr), t=1)
             g2 = Graph(record=False)
             after = float(bce_with_logits(g2, model.forward_logits(g2, frozen),
