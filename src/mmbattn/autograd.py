@@ -10,6 +10,12 @@ Broadcasting is restricted on purpose: in binary elementwise ops only the
 second operand may broadcast to the first, through trailing alignment or
 explicit length-1 axes.  The first operand fixes the output shape, so the
 backward reduction logic stays small and auditable.
+
+Gradient ownership: a backward rule hands an array it just made to its
+input instead of copying it, and elementwise rules overwrite the upstream
+gradient, which no one reads once its node has run.  So after ``backward``
+a non-leaf tensor's ``.grad`` is scratch, while leaf and parameter
+gradients are exact; and a graph runs ``backward`` at most once.
 """
 
 from __future__ import annotations
@@ -51,24 +57,35 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; gradients from multiple consumers sum."""
+def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``; gradients from multiple consumers sum.
+
+    With ``owned`` the caller gives ``g`` away: a float64 array that nothing
+    else reads or writes, which becomes ``t.grad`` without a copy.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        # asarray: a full reduction to shape () returns a numpy scalar
+        t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, branch split on sign, clamped to (0, 1)."""
+    """Numerically stable sigmoid, branch split on sign, clamped to (0, 1).
+
+    ``exp(-|x|)`` is ``exp(-x)`` for x >= 0 and ``exp(x)`` below, so each
+    branch sees the bits a masked two-pass form would give it.
+    """
     arr = np.asarray(x, dtype=np.float64)
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI).reshape(arr.shape)
+    flat = arr.ravel()  # 1-d even for a 0-d input, so ``out=`` gets an array
+    ex = np.negative(flat)
+    np.minimum(flat, ex, out=ex)  # -|x|, but a NaN keeps its sign
+    np.exp(ex, out=ex)
+    den = 1.0 + ex
+    out = ex / den
+    np.divide(1.0, den, out=out, where=flat >= 0)
+    np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+    return out.reshape(arr.shape)
 
 
 def _check_broadcast(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> None:
@@ -102,6 +119,7 @@ class Graph:
     def __init__(self, record: bool = True):
         self.record = record
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._spent = False
 
     # -- plumbing -----------------------------------------------------
 
@@ -128,6 +146,10 @@ class Graph:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not self.record:
             raise ContractError("backward called on a non-recording graph")
+        if self._spent:
+            raise ContractError("backward already ran on this graph; its intermediate "
+                                "gradients are consumed, so build a new graph")
+        self._spent = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
         for out, bw in reversed(self._nodes):
@@ -144,29 +166,36 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, g @ b.data.T)
+                accumulate_grad(a, g @ b.data.T, owned=True)
             if b.requires_grad:
-                accumulate_grad(b, a.data.T @ g)
+                accumulate_grad(b, a.data.T @ g, owned=True)
 
         return self._result(a.data @ b.data, (a, b), backward)
 
-    def _elementwise(self, a, b, fwd, da_of, db_of):
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast(a.shape, b.shape)
 
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                accumulate_grad(a, da_of(g))
             if b.requires_grad:
-                accumulate_grad(b, _reduce_to(db_of(g), b.shape))
+                gb = _reduce_to(g, b.shape)
+                # a takes g itself below, so b needs its own copy of it
+                accumulate_grad(b, gb, owned=gb is not g or not a.requires_grad)
+            if a.requires_grad:
+                accumulate_grad(a, g, owned=True)
 
-        return self._result(fwd(a.data, b.data), (a, b), backward)
-
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        return self._elementwise(a, b, np.add, lambda g: g, lambda g: g)
+        return self._result(a.data + b.data, (a, b), backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        return self._elementwise(a, b, np.multiply,
-                                 lambda g: g * b.data, lambda g: g * a.data)
+        _check_broadcast(a.shape, b.shape)
+
+        def backward(g: np.ndarray) -> None:
+            if b.requires_grad:
+                accumulate_grad(b, _reduce_to(g * a.data, b.shape), owned=True)
+            if a.requires_grad:
+                g *= b.data
+                accumulate_grad(a, g, owned=True)
+
+        return self._result(a.data * b.data, (a, b), backward)
 
     def _check_axis(self, a: Tensor, axis: int) -> None:
         if not 0 <= axis < a.data.ndim:
@@ -185,23 +214,22 @@ class Graph:
     def reduce_max(self, a: Tensor, axis: int) -> Tensor:
         self._check_axis(a, axis)
         # np.argmax returns the first (lowest-index) maximum: the tie rule.
-        idx = np.argmax(a.data, axis=axis)
+        idx = np.argmax(a.data, axis=axis) if self.record and a.requires_grad else None
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
                 full = np.zeros_like(a.data)
                 np.put_along_axis(full, np.expand_dims(idx, axis),
                                   np.expand_dims(g, axis), axis)
-                accumulate_grad(a, full)
+                accumulate_grad(a, full, owned=True)
 
         return self._result(a.data.max(axis=axis), (a,), backward)
 
     def relu(self, a: Tensor) -> Tensor:
-        mask = a.data > 0  # relu'(0) = 0
-
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, g * mask)
+                np.multiply(g, a.data > 0, out=g)  # relu'(0) = 0
+                accumulate_grad(a, g, owned=True)
 
         return self._result(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -210,7 +238,9 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, g * out_data * (1.0 - out_data))
+                g *= out_data
+                g *= 1.0 - out_data
+                accumulate_grad(a, g, owned=True)
 
         return self._result(out_data, (a,), backward)
 
@@ -221,6 +251,6 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, g.reshape(a.shape))
+                accumulate_grad(a, g.reshape(a.shape), owned=True)
 
         return self._result(a.data.reshape(new_shape), (a,), backward)

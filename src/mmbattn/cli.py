@@ -14,9 +14,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .attention import ABLATION_ROWS
-from .config import RunConfig, load_run_config, load_schema, load_synth_spec
-from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows,
-                   encode_rows, hash_split, read_table, synth_generate, synth_write_csv)
+from .config import RunConfig, load_run_config, load_schema, load_synth_spec, naming
+from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
+                   hash_split, lines_of, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, DataError, MMBAttnError
 from .gradcheck import run_gradcheck
 from .model import TowerConfig, build
@@ -44,7 +44,8 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
     if cfg.values["data.synth"] is not None:
         sources = (cfg.path("data.synth"),) * 3
         spec = load_synth_spec(sources[0])
-        train_b, valid_b, test_b, truth = synth_generate(spec)
+        with naming(sources[0]):
+            train_b, valid_b, test_b, truth = synth_generate(spec)
         prepared = PreparedData(spec.schema(), spec.vocabulary(),
                                 train_b, valid_b, test_b, truth)
     else:
@@ -52,15 +53,21 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         if cfg.values["data.file"] is not None:
             sources = (cfg.path("data.file"),) * 3
             header, rows = read_table(sources[0], schema.delimiter)
-            parts = [(header, [rows[i] for i in idx]) for idx in hash_split(len(rows))]
+            picks = hash_split(len(rows))
+            parts = [(header, [rows[i] for i in idx]) for idx in picks]
         else:  # each pre-split file is read by its own header
             sources = tuple(cfg.path(f"data.{split}") for split in SPLITS)
+            picks = (None,) * 3
             parts = [read_table(path, schema.delimiter) for path in sources]
         for source, split, (_, rows) in zip(sources, SPLITS, parts):
             if not rows:
                 raise DataError(f"{source}: the {split} split has no rows")
-        vocab = build_vocab_rows(*parts[0], schema)
-        splits = [encode_rows(header, rows, schema, vocab) for header, rows in parts]
+        with lines_of(sources[0], schema.delimiter, picks[0]):
+            vocab = build_vocab_rows(*parts[0], schema)
+        splits = []
+        for source, idx, (header, rows) in zip(sources, picks, parts):
+            with lines_of(source, schema.delimiter, idx):
+                splits.append(encode_rows(header, rows, schema, vocab))
         prepared = PreparedData(schema, vocab, *splits)
     for source, split in zip(sources[1:], SPLITS[1:]):
         if np.unique(getattr(prepared, split).labels).size < 2:
@@ -250,7 +257,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = load_synth_spec(args.spec)
-    counts = synth_write_csv(spec, args.out)
+    with naming(args.spec):
+        counts = synth_write_csv(spec, args.out)
     print(f"wrote {counts['train']}/{counts['valid']}/{counts['test']} "
           f"train/valid/test rows to {args.out}")
     return 0

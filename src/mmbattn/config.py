@@ -50,7 +50,7 @@ def parse_kv(source) -> dict[str, str]:
 
 
 @contextmanager
-def _naming(path):
+def naming(path):
     """Prefix errors raised while interpreting a parsed file with its path."""
     try:
         yield
@@ -252,7 +252,7 @@ def load_run_config(path, overrides=(), seeds=None, out=None) -> RunConfig:
         kv["run.seeds"] = ",".join(str(s) for s in seeds)
     if out is not None:
         kv["run.out"] = str(out)
-    with _naming(path):
+    with naming(path):
         return _resolve_run(kv, Path(path).resolve().parent)
 
 
@@ -266,7 +266,7 @@ _KINDS = {"categorical": CATEGORICAL, "numeric": NUMERIC}
 def load_schema(path) -> FieldSchema:
     """Schema file: ``schema.*`` options plus ordered ``field.<name> = kind``."""
     kv = parse_kv(path)
-    with _naming(path):
+    with naming(path):
         fields = []
         options: dict[str, str] = {}
         for key, value in kv.items():
@@ -307,7 +307,7 @@ _SYNTH_KEYS = {"synth.rows", "synth.fields", "synth.cardinality",
 
 def load_synth_spec(path) -> SynthSpec:
     kv = parse_kv(path)
-    with _naming(path):
+    with naming(path):
         unknown = [k for k in kv if k not in _SYNTH_KEYS]
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r}")

@@ -6,6 +6,7 @@ import copy
 import csv
 import hashlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -14,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .autograd import stable_sigmoid
-from .errors import ContractError, DataError, SchemaError, SynthSpecError
+from .errors import ContractError, DataError, RowError, SchemaError, SynthSpecError
 from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
@@ -187,6 +188,30 @@ def _read_rows(lines, delimiter: str) -> tuple[list[str], list[list[str]]]:
     return header, [row for row in reader if row]
 
 
+@contextmanager
+def lines_of(path, delimiter: str, picks: np.ndarray | None = None):
+    """Re-raise a :class:`RowError` naming ``path`` and the row's file line.
+
+    The rows checked are ``read_table(path)``'s, or those at ``picks`` in it.
+    The header is line 1; blank lines and quoted line breaks count.
+    """
+    try:
+        yield
+    except RowError as exc:
+        row = exc.row if picks is None else int(picks[exc.row])
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            next(reader)
+            start = reader.line_num + 1
+            for record in reader:
+                if record:
+                    if row == 0:
+                        raise DataError(f"{path}: line {start}: {exc.detail}") from None
+                    row -= 1
+                start = reader.line_num + 1
+        raise DataError(f"{path}: changed while it was read") from None
+
+
 def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
              names: Sequence[str]) -> list[list[str]]:
     """Check every row's width, then return the named columns' cells."""
@@ -198,8 +223,8 @@ def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
     width = len(header)
     widths = list(map(len, rows))
     if widths.count(width) != len(rows):
-        rownum, got = next((r, w) for r, w in enumerate(widths, start=1) if w != width)
-        raise DataError(f"row {rownum}: expected {width} columns, got {got}")
+        r, got = next((r, w) for r, w in enumerate(widths) if w != width)
+        raise RowError(r, f"expected {width} columns, got {got}")
     return [[row[c] for row in rows] for c in map(header.index, names)]
 
 
@@ -260,8 +285,8 @@ def encode_rows(header: list[str], rows: list[list[str]],
         r = int(np.flatnonzero(bad)[0])
         raw = label_cells[r]
         if not ok[r]:
-            raise DataError(f"row {r + 1}: label {raw!r} is not a number")
-        raise DataError(f"row {r + 1}: label must be 0 or 1, got {raw!r}")
+            raise RowError(r, f"label {raw!r} is not a number")
+        raise RowError(r, f"label must be 0 or 1, got {raw!r}")
     indices = np.empty((len(rows), schema.n_fields), dtype=np.uint32)
     for f, col in enumerate(cols):
         edges = vocab.boundaries[f]

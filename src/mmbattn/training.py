@@ -69,7 +69,7 @@ def bce_with_logits(g: Graph, logits: Tensor, labels) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if logits.requires_grad:
-            accumulate_grad(logits, grad * (stable_sigmoid(z) - y) / n)
+            accumulate_grad(logits, grad * (stable_sigmoid(z) - y) / n, owned=True)
 
     return g.record_op(np.float64(_logits_bce_value(z, y)), (logits,), backward)
 

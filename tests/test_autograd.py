@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmbattn.autograd import Graph, Tensor
+from mmbattn.autograd import Graph, Tensor, stable_sigmoid
 from mmbattn.errors import ContractError, DimensionError
 
 
@@ -179,6 +179,29 @@ class TestActivations:
         g.backward(g.reduce_mean(g.relu(a), 0))
         assert a.grad.tolist() == [0.0]
 
+    @pytest.mark.parametrize("shape", [(), (128, 8), (4096, 100)])
+    def test_sigmoid_kernel_equals_masked_formula_bit_for_bit(self, shape):
+        def masked(x):  # the two-pass form the kernel replaced
+            flat = x.ravel()
+            out = np.empty_like(flat)
+            pos = flat >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+            ex = np.exp(flat[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+            return np.clip(out, lo, hi).reshape(x.shape)
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e308, -1e308]
+        size = int(np.prod(shape, dtype=np.int64))
+        rng = np.random.default_rng(size)
+        for value in special + [None]:
+            x = rng.normal(scale=10.0, size=shape)
+            if value is not None:
+                x.ravel()[::7] = value
+            got, want = stable_sigmoid(x), masked(x)
+            assert got.shape == want.shape == shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), value
+
     def test_sigmoid_backward(self):
         rng = np.random.default_rng(5)
         a = Tensor(rng.normal(size=7), requires_grad=True)
@@ -221,6 +244,16 @@ class TestBackward:
         b = g.mul(w, Tensor([5.0, 5.0, 5.0]))
         g.backward(g.reduce_mean(g.add(a, b), 0))
         assert np.allclose(w.grad, [7.0 / 3] * 3)
+
+    def test_second_backward_on_a_graph_raises(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        g = Graph()
+        loss = g.reduce_mean(g.sigmoid(g.mul(w, w)), 0)
+        g.backward(loss)
+        first = w.grad.copy()
+        with pytest.raises(ContractError, match="already ran"):
+            g.backward(loss)
+        assert np.array_equal(w.grad, first)
 
     def test_gradients_accumulate_across_reuse(self):
         w = Tensor([3.0], requires_grad=True)
@@ -274,6 +307,72 @@ class TestProperties:
         assert np.allclose(a.grad, 2 * np.arange(6.0) / 6)
         with pytest.raises(DimensionError):
             g.reshape(a, (4, 2))
+
+
+class TestOwnership:
+    """Backward hands fresh arrays over and overwrites upstream gradients."""
+
+    def test_add_gives_each_leaf_its_own_gradient(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        y = Tensor(np.ones((3, 2)), requires_grad=True)
+        g = Graph()
+        g.backward(g.reduce_mean(g.reduce_mean(g.add(x, y), 1), 0))
+        assert not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(x.grad, np.full((3, 2), 1 / 6))
+        x.grad += 1.0
+        assert np.array_equal(y.grad, np.full((3, 2), 1 / 6))
+
+    def test_add_of_a_tensor_to_itself_doubles(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        g = Graph()
+        g.backward(g.reduce_mean(g.add(x, x), 0))
+        assert np.array_equal(x.grad, np.full(3, 2 / 3))
+
+    def test_mul_of_a_tensor_with_itself(self):
+        x = Tensor([1.5, -2.0, 0.25], requires_grad=True)
+        g = Graph()
+        g.backward(g.reduce_mean(g.sigmoid(g.mul(x, x)), 0))
+        y = stable_sigmoid(x.data * x.data)
+        assert rel_err(x.grad, 2 * x.data * y * (1 - y) / 3) < 1e-15
+
+    def test_scalar_operand_gradient_is_an_array(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        s = Tensor(2.0, requires_grad=True)
+        g = Graph()
+        g.backward(g.reduce_mean(g.reduce_mean(g.relu(g.mul(x, g.relu(s))), 1), 0))
+        assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
+        assert float(s.grad) == 2.5
+
+    def test_tensor_feeding_relu_and_add_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(4, 3)) + 0.05, requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+
+        def forward(g):
+            h = g.matmul(x, w)
+            out = g.mul(g.add(g.relu(h), h), g.sigmoid(h))
+            return g.reduce_mean(g.reduce_mean(out, 1), 0)
+
+        g = Graph()
+        g.backward(forward(g))
+        for t in (x, w):
+            want = fd_grad(lambda: float(forward(Graph(record=False)).data), t.data)
+            assert rel_err(t.grad, want) < 1e-6
+
+    def test_forward_only_graph_matches_recording_graph_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+
+        def forward(g):
+            h = g.relu(g.matmul(x, w))
+            s = g.sigmoid(g.add(h, x))
+            m = g.reduce_max(g.reshape(g.mul(s, h), (5, 3, 2)), 2)
+            return g.add(m, g.reduce_mean(g.reshape(s, (5, 3, 2)), 2))
+
+        recorded, plain = forward(Graph()), forward(Graph(record=False))
+        assert np.array_equal(recorded.data.view(np.uint64), plain.data.view(np.uint64))
+        assert recorded.requires_grad and not plain.requires_grad
 
 
 class TestSurface:

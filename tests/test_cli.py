@@ -358,6 +358,14 @@ class TestSynthCommand:
         assert cli.main(["synth", "--spec", str(bad),
                          "--out", str(tmp_path / "o")]) == 1
 
+    def test_base_rate_error_names_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.conf"
+        spec.write_text("synth.rows = 1500\nsynth.fields = 3\n"
+                        "synth.cardinality = 5\nsynth.informative = 0,1\n"
+                        "synth.weight_scale = 200\nsynth.seed = 3\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: label base rate ")
+
 
 class TestCsvPipeline:
     def write_csv_run(self, tmp_path, single_file=False):
@@ -447,6 +455,32 @@ class TestCsvPipeline:
                         err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("split, line, edit, message", [
+        ("valid", 3, lambda row: row.rsplit(",", 1)[0] + ",x", "label 'x' is not a number"),
+        ("train", 2, lambda row: row + ",v0", "expected 5 columns, got 6"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, split, line, edit,
+                                         message):
+        cfg = self.write_csv_run(tmp_path)
+        path = tmp_path / "data" / f"{split}.csv"
+        lines = path.read_text().splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
+
+    def test_bad_row_of_hash_split_file_names_its_file_line(self, tmp_path, capsys):
+        # blank lines count as file lines, and the row's split does not matter
+        cfg = self.write_csv_run(tmp_path, single_file=True)
+        data = tmp_path / "data" / "train.csv"
+        lines = data.read_text().splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + ",2"
+        lines[3:3] = ["", ""]
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: line 43: "
+                                           f"label must be 0 or 1, got '2'\n")
+
     def test_single_class_valid_csv_fails_before_training(self, tmp_path, capsys):
         cfg = self.write_csv_run(tmp_path)
         valid = tmp_path / "data" / "valid.csv"
@@ -481,6 +515,7 @@ class TestConfigErrorsNameTheirFile:
         ("synth.bogus = 1", "unknown config key 'synth.bogus'"),
         ("synth.rows = lots", "bad synth spec value"),
         ("synth.informative = 0,7", "informative field index out of range"),
+        ("synth.weight_scale = 200", "label base rate 0.0400 outside (0.05, 0.95)"),
     ])
     def test_synth_spec(self, tmp_path, capsys, line, message):
         cfg = write_tiny_config(tmp_path)
