@@ -19,7 +19,7 @@ from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, enc
                    hash_split, lines_of, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, DataError, MMBAttnError
 from .gradcheck import run_gradcheck
-from .model import TowerConfig, build
+from .model import Model, build
 from .seeding import derive_seed
 from .training import MetricsReport, eval_thread_count, evaluate, train
 
@@ -79,14 +79,18 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
 # -- single run ------------------------------------------------------------
 
 
+def _build_model(cfg: RunConfig, seed: int, prepared: PreparedData) -> Model:
+    model_seed = cfg.model_seed if cfg.model_seed is not None \
+        else derive_seed(seed, "model-init")
+    return build(prepared.schema, prepared.vocab, cfg.embedding_dim,
+                 cfg.attn_config(), cfg.tower_config(), model_seed)
+
+
 def run_single(cfg: RunConfig, seed: int, out_dir: Path,
                prepared: PreparedData) -> MetricsReport:
     """Train one seed; writes metrics.jsonl, checkpoint.mmbc, run_info.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_seed = cfg.model_seed if cfg.model_seed is not None \
-        else derive_seed(seed, "model-init")
-    model = build(prepared.schema, prepared.vocab, cfg.embedding_dim,
-                  cfg.attn_config(), TowerConfig(cfg.hidden_sizes), model_seed)
+    model = _build_model(cfg, seed, prepared)
     with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         report = train(model, prepared.train, prepared.valid, prepared.test,
                        cfg.train_config(), run_seed=seed,
@@ -124,7 +128,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
 def _summarize(reports: dict[int, MetricsReport]) -> dict[str, float]:
     aucs = np.array([r.auc for r in reports.values()])
     lls = np.array([r.logloss for r in reports.values()])
-    return {"auc_mean": float(aucs.mean()) if aucs.size else float("nan"),
+    return {"auc_mean": float(aucs.mean()),
             "auc_std": float(aucs.std()),
             "logloss_mean": float(lls.mean()),
             "logloss_std": float(lls.std())}
@@ -164,10 +168,7 @@ def cmd_evaluate(args) -> int:
     path = Path(args.checkpoint) if args.checkpoint else \
         _out_dir(cfg, args) / f"seed_{seed}" / "checkpoint.mmbc"
     prepared = prepare_data(cfg)
-    model_seed = cfg.model_seed if cfg.model_seed is not None \
-        else derive_seed(seed, "model-init")
-    model = build(prepared.schema, prepared.vocab, cfg.embedding_dim,
-                  cfg.attn_config(), TowerConfig(cfg.hidden_sizes), model_seed)
+    model = _build_model(cfg, seed, prepared)
     ckpt.restore_model(model, ckpt.load_checkpoint(path),
                        expected_digest=cfg.digest(seed), force=args.force)
     report = evaluate(model, prepared.test, threads=eval_thread_count())
@@ -217,11 +218,11 @@ def cmd_sweep(args) -> int:
     values = [part.strip() for part in args.values.split(",") if part.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
+    run_cfgs = [cfg.override({key: value}) for value in values]
     prepared = prepare_data(cfg)  # swept axes never affect data preparation
     out_dir = _out_dir(cfg, args)
     rows = []
-    for value in values:
-        run_cfg = cfg.override({key: value})
+    for value, run_cfg in zip(values, run_cfgs):
         reports = _run_all_seeds(run_cfg, out_dir / f"{args.axis}_{value}", prepared)
         rows.append({"value": value, **_summarize(reports)})
     print(f"{args.axis:>16}  {'AUC':>8}  {'LogLoss':>8}")
@@ -243,7 +244,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck needs a tiny model: embedding_dim at most 3")
     batch = prepared.train.take(slice(0, min(8, prepared.train.n)))
     worst = run_gradcheck(prepared.schema, prepared.vocab, batch,
-                          cfg.embedding_dim, TowerConfig(cfg.hidden_sizes),
+                          cfg.embedding_dim, cfg.tower_config(),
                           cfg.attn_config().reduction_ratio, cfg.seeds[0])
     overall = 0.0
     for name in sorted(worst):

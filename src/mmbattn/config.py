@@ -17,34 +17,30 @@ from pathlib import Path
 from .attention import MMBAttnConfig
 from .data import CATEGORICAL, NUMERIC, FieldSchema, SynthSpec
 from .errors import ConfigError, MMBAttnError
+from .model import TowerConfig
 from .training import TrainConfig
 
 
-def parse_kv(source) -> dict[str, str]:
-    """Parse a key-value config file (or text) into an ordered dict."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        origin = str(source)
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{origin}: not UTF-8 text ({exc.reason})") from None
-        except OSError as exc:
-            raise ConfigError(f"{origin}: cannot read ({exc.strerror or exc})") from None
-    else:
-        text = str(source)
-        origin = "<string>"
+def parse_kv(path) -> dict[str, str]:
+    """Parse a key-value config file into an ordered dict."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.count(".") != 1:
-            raise ConfigError(f"{origin}:{lineno}: key {key!r} must be 'section.key'")
+            raise ConfigError(f"{path}:{lineno}: key {key!r} must be 'section.key'")
         if key in out:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -142,10 +138,6 @@ class RunConfig:
         return self.values["model.embedding_dim"]
 
     @property
-    def hidden_sizes(self) -> tuple[int, ...]:
-        return self.values["model.hidden_sizes"]
-
-    @property
     def model_seed(self) -> int | None:
         return self.values["model.seed"]
 
@@ -156,6 +148,9 @@ class RunConfig:
             use_bitwise=self.values["attn.use_bitwise"],
             reduction_ratio=self.values["attn.reduction_ratio"],
         )
+
+    def tower_config(self) -> TowerConfig:
+        return TowerConfig(self.values["model.hidden_sizes"])
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -216,6 +211,7 @@ def _resolve_run(kv: dict[str, str], base_dir: Path) -> RunConfig:
 
     cfg = RunConfig(values=values, resolved=resolved, base_dir=base_dir)
     cfg.attn_config()
+    cfg.tower_config()
     cfg.train_config()
     if values["model.embedding_dim"] < 1:
         raise ConfigError("model.embedding_dim must be >= 1")

@@ -77,7 +77,6 @@ class Vocabulary:
             raise ContractError("maps and boundaries must align per field")
         self.maps = list(maps)
         self.boundaries = list(boundaries)
-        self._inverse: list[dict[int, str] | None] = [None] * len(self.maps)
 
     @property
     def sizes(self) -> list[int]:
@@ -96,16 +95,6 @@ class Vocabulary:
         except ValueError:
             return 0
         return int(np.searchsorted(bounds, value, side="right")) + 1
-
-    def value_of(self, field: int, index: int) -> str:
-        """Inverse lookup for categorical fields; OOV decodes to ''."""
-        if self.boundaries[field] is not None:
-            raise ContractError("numeric-bucketized fields cannot be decoded losslessly")
-        inv = self._inverse[field]
-        if inv is None:
-            inv = {i: v for v, i in self.maps[field].items()}
-            self._inverse[field] = inv
-        return inv.get(index, "")
 
 
 @dataclass
@@ -159,41 +148,31 @@ class Batch:
 # -- CSV ingestion ------------------------------------------------------
 
 
-def read_table(source, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
-    """Slurp a CSV into (header, rows); desk-scale datasets only.
-
-    ``source`` is a path, an open text stream or an iterable of lines.
-    """
-    if not isinstance(source, (str, Path)):
-        return _read_rows(source, delimiter)
+def read_table(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
+    """Slurp a CSV file into (header, rows); desk-scale datasets only."""
     try:
-        with open(source, newline="", encoding="utf-8") as fh:
-            header, rows = _read_rows(fh, delimiter)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
     except UnicodeDecodeError as exc:
-        raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
-        raise DataError(f"{source}: cannot read ({exc.strerror or exc})") from None
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
-    if not rows:
-        raise DataError(f"{source}: no data rows after the header")
-    return header, rows
-
-
-def _read_rows(lines, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    reader = csv.reader(lines, delimiter=delimiter)
-    header = next(reader, None)
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if header is None:
-        raise DataError("empty input stream")
-    return header, [row for row in reader if row]
+        raise DataError(f"{path}: empty input stream")
+    if not rows:
+        raise DataError(f"{path}: no data rows after the header")
+    return header, rows
 
 
 @contextmanager
 def lines_of(path, delimiter: str, picks: np.ndarray | None = None):
     """Re-raise a :class:`RowError` naming ``path`` and the row's file line.
 
-    The rows checked are ``read_table(path)``'s, or those at ``picks`` in it.
-    The header is line 1; blank lines and quoted line breaks count.
+    The error's row indexes the rows ``read_table(path)`` returned or, with
+    ``picks``, the selection ``[rows[i] for i in picks]`` of them.  The
+    header is line 1; blank lines and quoted line breaks count.
     """
     try:
         yield
@@ -264,16 +243,6 @@ def build_vocab_rows(header: list[str], rows: list[list[str]],
     return Vocabulary(maps, bounds)
 
 
-def build_vocab(source, schema: FieldSchema) -> Vocabulary:
-    """Build per-field vocabularies from a CSV stream.
-
-    Values seen fewer than ``schema.min_count`` times map to the OOV index 0;
-    the rest get contiguous indices in first-seen order starting at 1.
-    """
-    header, rows = read_table(source, schema.delimiter)
-    return build_vocab_rows(header, rows, schema)
-
-
 def encode_rows(header: list[str], rows: list[list[str]],
                 schema: FieldSchema, vocab: Vocabulary) -> Batch:
     """Encode one column at a time; matches ``vocab.index_of`` per cell."""
@@ -298,21 +267,6 @@ def encode_rows(header: list[str], rows: list[list[str]],
             buckets = np.searchsorted(edges, values, side="right") + 1
             indices[:, f] = np.where(parsed, buckets, 0)
     return Batch(indices, labels)
-
-
-def encode(source, schema: FieldSchema, vocab: Vocabulary) -> Batch:
-    """Map CSV rows to an index matrix; unseen values go to index 0."""
-    header, rows = read_table(source, schema.delimiter)
-    return encode_rows(header, rows, schema, vocab)
-
-
-def decode(batch: Batch, schema: FieldSchema, vocab: Vocabulary) -> list[list[str]]:
-    """Recover raw values for encoded rows (categorical fields only)."""
-    out = []
-    for r in range(batch.n):
-        out.append([vocab.value_of(f, int(batch.indices[r, f]))
-                    for f in range(schema.n_fields)])
-    return out
 
 
 # -- deterministic splitting and batching --------------------------------
@@ -388,11 +342,6 @@ class SynthSpec:
     @property
     def n_fields(self) -> int:
         return len(self.cardinalities)
-
-    @property
-    def noise(self) -> tuple[int, ...]:
-        info = set(self.informative)
-        return tuple(f for f in range(self.n_fields) if f not in info)
 
     @property
     def field_names(self) -> tuple[str, ...]:

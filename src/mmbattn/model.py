@@ -73,14 +73,6 @@ class Model:
                 x = g.relu(x)
         return g.reshape(x, (batch.n,))
 
-    def forward(self, g: Graph, batch: Batch) -> Tensor:
-        """Click probabilities in (0, 1), shape (B,)."""
-        return g.sigmoid(self.forward_logits(g, batch))
-
-    def predict(self, batch: Batch) -> np.ndarray:
-        """Forward-only probabilities (no tape)."""
-        return self.forward(Graph(record=False), batch).data
-
     def field_weights(self, batch: Batch) -> np.ndarray | None:
         """Per-field combined attention weights W^MM, or None if no pooled branch."""
         if self.attn_config is None or not self.attn_config.uses_pooling:

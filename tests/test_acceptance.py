@@ -155,7 +155,7 @@ class TestPlantedImportanceRecovery:
         spec = planted_runs["spec"]
         truth = planted_runs["truth"]
         informative = list(spec.informative)
-        noise = list(spec.noise)
+        noise = [f for f in range(spec.n_fields) if f not in informative]
         passed = 0
         details = []
         for seed, run in planted_runs["full"].items():

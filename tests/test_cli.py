@@ -293,6 +293,14 @@ class TestSweepCommand:
                             if not line.startswith("attn.reduction_ratio")]
         assert canon["2"] == canon["4"]
 
+    def test_bad_value_fails_before_any_training(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--axis", "reduction_ratio", "--values", "3,0"]) == 1
+        assert "attn.reduction_ratio must be >= 1" in capsys.readouterr().err
+        assert not (out / "reduction_ratio_3").exists()
+
 
 class TestGradcheckCommand:
     def test_bundled_config_passes(self, capsys):
@@ -503,10 +511,13 @@ class TestConfigErrorsNameTheirFile:
         ("train.batch_size = many", "bad value for train.batch_size"),
         ("train.batch_size = 0", "batch sizes must be >= 1"),
         ("train.batch_size", ":7: expected 'key = value'"),
+        ("model.hidden_sizes = 0", "model.hidden_sizes entries must be >= 1"),
     ])
     def test_run_config(self, tmp_path, capsys, line, message):
         cfg = write_tiny_config(tmp_path)
-        cfg.write_text(cfg.read_text().replace("train.batch_size = 256", line))
+        key = line.split("=")[0].strip()
+        cfg.write_text("".join(f"{line if ln.startswith(key + ' ') else ln}\n"
+                               for ln in cfg.read_text().splitlines()))
         err = self.run_error(cfg, capsys, tmp_path)
         assert err.startswith(f"error: {cfg}") and message in err
         assert err.count(str(cfg)) == 1

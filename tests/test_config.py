@@ -30,25 +30,33 @@ def cfg_dir(tmp_path):
     return tmp_path
 
 
+def conf_file(tmp_path, text):
+    path = tmp_path / "kv.conf"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestParseKv:
-    def test_comments_and_blanks(self):
-        kv = parse_kv("# comment\n\na.b = 1  # trailing\n")
+    def test_comments_and_blanks(self, tmp_path):
+        kv = parse_kv(conf_file(tmp_path, "# comment\n\na.b = 1  # trailing\n"))
         assert kv == {"a.b": "1"}
 
-    def test_missing_equals(self):
-        with pytest.raises(ConfigError, match="key = value"):
-            parse_kv("a.b 1\n")
+    def test_missing_equals(self, tmp_path):
+        path = conf_file(tmp_path, "a.b 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:1: expected 'key = value'")):
+            parse_kv(path)
 
-    def test_nesting_depth_enforced(self):
-        with pytest.raises(ConfigError, match="section.key"):
-            parse_kv("a.b.c = 1\n")
-        with pytest.raises(ConfigError, match="section.key"):
-            parse_kv("plain = 1\n")
+    def test_nesting_depth_enforced(self, tmp_path):
+        for key in ("a.b.c", "plain"):
+            path = conf_file(tmp_path, f"{key} = 1\n")
+            message = f"{path}:1: key {key!r} must be 'section.key'"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                parse_kv(path)
 
-    def test_duplicate_key(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            parse_kv("a.b = 1\na.b = 2\n")
-
+    def test_duplicate_key(self, tmp_path):
+        path = conf_file(tmp_path, "a.b = 1\na.b = 2\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: duplicate")):
+            parse_kv(path)
 
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(ConfigError, match="missing.conf: cannot read"):
@@ -66,7 +74,7 @@ class TestRunConfig:
         cfg = load_run_config(cfg_dir / "run.conf")
         assert cfg.seeds == (1, 2)
         assert cfg.embedding_dim == 4
-        assert cfg.hidden_sizes == (16,)
+        assert cfg.tower_config().hidden_sizes == (16,)
         assert cfg.attn_config().reduction_ratio == 3  # default
         assert cfg.train_config().batch_size == 64
 
@@ -174,7 +182,7 @@ class TestSynthSpecFile:
         assert spec.n_rows == 500
         assert spec.cardinalities == (4, 5, 6)
         assert spec.informative == (0, 2)
-        assert spec.noise == (1,)
+        assert spec.n_fields == 3
 
     def test_cardinality_broadcast(self, tmp_path):
         path = tmp_path / "synth.conf"

@@ -1,12 +1,11 @@
-import io
 import re
 
 import numpy as np
 import pytest
 
 from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, SynthSpec,
-                          batches, build_vocab, build_vocab_rows, decode, encode,
-                          encode_rows, hash_split, read_table, synth_generate,
+                          batches, build_vocab_rows, encode_rows, hash_split,
+                          read_table, synth_generate,
                           synth_table, synth_truth, synth_write_csv)
 from mmbattn.errors import (ContractError, DataError, SchemaError,
                             SynthSpecError)
@@ -16,8 +15,25 @@ def one_field_schema():
     return FieldSchema(fields=(("f", CATEGORICAL),), label_column="y")
 
 
-def csv_stream(text):
-    return io.StringIO(text)
+@pytest.fixture
+def csv_file(tmp_path):
+    """Write CSV text to a fresh file under tmp_path and return its path."""
+    made = []
+
+    def write(text):
+        path = tmp_path / f"data{len(made)}.csv"
+        path.write_text(text, encoding="utf-8")
+        made.append(path)
+        return path
+    return write
+
+
+def vocab_from(path, schema):
+    return build_vocab_rows(*read_table(path, schema.delimiter), schema)
+
+
+def encode_file(path, schema, vocab):
+    return encode_rows(*read_table(path, schema.delimiter), schema, vocab)
 
 
 class TestSchema:
@@ -36,38 +52,38 @@ class TestSchema:
 
 
 class TestBuildVocab:
-    def test_first_seen_order(self):
-        vocab = build_vocab(csv_stream("f,y\na,1\nb,0\na,1\n"), one_field_schema())
+    def test_first_seen_order(self, csv_file):
+        vocab = vocab_from(csv_file("f,y\na,1\nb,0\na,1\n"), one_field_schema())
         assert vocab.maps[0] == {"a": 1, "b": 2}
         assert vocab.sizes == [3]  # OOV included
 
-    def test_min_count_threshold(self):
+    def test_min_count_threshold(self, csv_file):
         schema = FieldSchema(fields=(("f", CATEGORICAL),), label_column="y",
                              min_count=2)
-        vocab = build_vocab(csv_stream("f,y\na,1\nb,0\na,1\n"), schema)
+        vocab = vocab_from(csv_file("f,y\na,1\nb,0\na,1\n"), schema)
         assert vocab.maps[0] == {"a": 1}
         assert vocab.index_of(0, "b") == 0
 
-    def test_missing_column_named(self):
+    def test_missing_column_named(self, csv_file):
         with pytest.raises(SchemaError, match="'f'"):
-            build_vocab(csv_stream("g,y\na,1\n"), one_field_schema())
+            vocab_from(csv_file("g,y\na,1\n"), one_field_schema())
 
-    def test_empty_stream(self):
-        with pytest.raises(DataError):
-            build_vocab(csv_stream(""), one_field_schema())
-        with pytest.raises(DataError):
-            build_vocab(csv_stream("f,y\n"), one_field_schema())
+    def test_empty_stream(self, csv_file):
+        for text in ("", "f,y\n"):
+            path = csv_file(text)
+            with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+                vocab_from(path, one_field_schema())
 
-    def test_order_stable(self):
+    def test_order_stable(self, csv_file):
         text = "f,y\n" + "\n".join(f"v{i % 17},{i % 2}" for i in range(100)) + "\n"
-        a = build_vocab(csv_stream(text), one_field_schema())
-        b = build_vocab(csv_stream(text), one_field_schema())
+        a = vocab_from(csv_file(text), one_field_schema())
+        b = vocab_from(csv_file(text), one_field_schema())
         assert a.maps == b.maps
 
-    def test_numeric_bucketization(self):
+    def test_numeric_bucketization(self, csv_file):
         schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
         rows = "\n".join(f"{i},0" for i in range(1, 101))
-        vocab = build_vocab(csv_stream("x,y\n" + rows), schema)
+        vocab = vocab_from(csv_file("x,y\n" + rows), schema)
         assert vocab.sizes == [4 + 1]
         # quantile edges put roughly a quarter of the data in each bucket
         assert vocab.index_of(0, "1") == 1
@@ -76,31 +92,19 @@ class TestBuildVocab:
 
 
 class TestEncode:
-    def test_all_unseen_maps_to_zero(self):
-        vocab = build_vocab(csv_stream("f,y\na,1\n"), one_field_schema())
-        batch = encode(csv_stream("f,y\nzzz,0\n"), one_field_schema(), vocab)
+    def test_all_unseen_maps_to_zero(self, csv_file):
+        vocab = vocab_from(csv_file("f,y\na,1\n"), one_field_schema())
+        batch = encode_file(csv_file("f,y\nzzz,0\n"), one_field_schema(), vocab)
         assert batch.indices.tolist() == [[0]]
 
-    def test_label_strings_parse_and_bad_label_names_row(self):
-        vocab = build_vocab(csv_stream("f,y\na,1\n"), one_field_schema())
-        batch = encode(csv_stream("f,y\na,1\na,0\n"), one_field_schema(), vocab)
+    def test_label_strings_parse_and_bad_label_names_row(self, csv_file):
+        vocab = vocab_from(csv_file("f,y\na,1\n"), one_field_schema())
+        batch = encode_file(csv_file("f,y\na,1\na,0\n"), one_field_schema(), vocab)
         assert batch.labels.tolist() == [1.0, 0.0]
         with pytest.raises(DataError, match="row 2"):
-            encode(csv_stream("f,y\na,1\na,2\n"), one_field_schema(), vocab)
+            encode_file(csv_file("f,y\na,1\na,2\n"), one_field_schema(), vocab)
 
-    def test_encode_decode_round_trip(self):
-        rng = np.random.default_rng(4)
-        schema = FieldSchema(fields=(("a", CATEGORICAL), ("b", CATEGORICAL)),
-                             label_column="y")
-        rows = [[f"a{rng.integers(5)}", f"b{rng.integers(7)}", str(rng.integers(2))]
-                for _ in range(100)]
-        text = "a,b,y\n" + "\n".join(",".join(r) for r in rows) + "\n"
-        vocab = build_vocab(csv_stream(text), schema)
-        batch = encode(csv_stream(text), schema, vocab)
-        decoded = decode(batch, schema, vocab)
-        assert decoded == [r[:2] for r in rows]
-
-    def test_fuzz_indices_always_in_range(self):
+    def test_fuzz_indices_always_in_range(self, csv_file):
         rng = np.random.default_rng(99)
         schema = FieldSchema(fields=(("a", CATEGORICAL), ("b", CATEGORICAL)),
                              label_column="y", min_count=2)
@@ -109,8 +113,8 @@ class TestEncode:
             make = lambda: "\n".join(
                 f"t{rng.integers(20)},u{rng.integers(30)},{rng.integers(2)}"
                 for _ in range(n))
-            vocab = build_vocab(csv_stream("a,b,y\n" + make()), schema)
-            batch = encode(csv_stream("a,b,y\n" + make()), schema, vocab)
+            vocab = vocab_from(csv_file("a,b,y\n" + make()), schema)
+            batch = encode_file(csv_file("a,b,y\n" + make()), schema, vocab)
             assert (batch.indices < np.array(vocab.sizes)).all()
 
 
@@ -133,9 +137,9 @@ def mixed_schema():
 
 
 class TestColumnwiseIngest:
-    def test_every_index_matches_per_value_reference(self):
+    def test_every_index_matches_per_value_reference(self, csv_file):
         schema = mixed_schema()
-        header, rows = read_table(csv_stream(MIXED_CSV))
+        header, rows = read_table(csv_file(MIXED_CSV))
         vocab = build_vocab_rows(header, rows, schema)
         # first-seen order; oslo and lima fall below min_count
         assert list(vocab.maps[0]) == ["paris", "rome"]
@@ -151,26 +155,26 @@ class TestColumnwiseIngest:
         assert batch.labels.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("fn", [build_vocab_rows, encode_rows])
-    def test_short_row_named(self, fn):
+    def test_short_row_named(self, fn, csv_file):
         schema = mixed_schema()
-        header, rows = read_table(csv_stream("city,temp,y\na,1,0\nb,2,1\nc,3\n"))
+        header, rows = read_table(csv_file("city,temp,y\na,1,0\nb,2,1\nc,3\n"))
         args = (header, rows, schema)
         if fn is encode_rows:
-            args += (build_vocab(csv_stream(MIXED_CSV), schema),)
+            args += (vocab_from(csv_file(MIXED_CSV), schema),)
         with pytest.raises(DataError, match="row 3: expected 3 columns, got 2"):
             fn(*args)
 
-    def test_non_numeric_label_named(self):
+    def test_non_numeric_label_named(self, csv_file):
         schema = mixed_schema()
-        vocab = build_vocab(csv_stream(MIXED_CSV), schema)
+        vocab = vocab_from(csv_file(MIXED_CSV), schema)
         with pytest.raises(DataError, match="row 2: label 'yes' is not a number"):
-            encode(csv_stream("city,temp,y\na,1,0\nb,2,yes\nc,3,2\n"), schema, vocab)
+            encode_file(csv_file("city,temp,y\na,1,0\nb,2,yes\nc,3,2\n"), schema, vocab)
 
-    def test_label_two_named(self):
+    def test_label_two_named(self, csv_file):
         schema = mixed_schema()
-        vocab = build_vocab(csv_stream(MIXED_CSV), schema)
+        vocab = vocab_from(csv_file(MIXED_CSV), schema)
         with pytest.raises(DataError, match="row 3: label must be 0 or 1, got '2'"):
-            encode(csv_stream("city,temp,y\na,1,0\nb,2, 1\nc,3,2\n"), schema, vocab)
+            encode_file(csv_file("city,temp,y\na,1,0\nb,2, 1\nc,3,2\n"), schema, vocab)
 
 
 class TestReadTable:

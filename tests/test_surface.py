@@ -1,0 +1,70 @@
+"""Every name the package defines is used by the package or the benchmark.
+
+A tripwire for helpers that only tests call: it collects each function,
+class and method defined under ``src/mmbattn`` (dunders excluded) and
+looks for a reference to it anywhere in ``src/mmbattn`` or ``perfbench/``,
+as a name, an attribute, an import alias or a string constant. The
+package's ``__init__.py`` only re-exports, so it is not searched.
+
+It is a tripwire, not a proof. References are matched by name alone, so a
+helper that shares its name with something else in use (say a method
+``encode`` beside ``str.encode(`` or ``decode`` beside ``bytes.decode(``)
+still counts as used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mmbattn"
+
+# Kept although only tests call them, each for the reason given.
+ORACLES = {
+    "index_of": "per-cell vocabulary lookup that encode_rows must match",
+    "bce_loss": "graph-level BCE on probabilities, the oracle for bce_with_logits",
+    "param_count": "closed-form attention parameter count, checked against the registry",
+    "field_weights": "the paper's per-field importance readout, read by the planted "
+                     "recovery check",
+}
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted(d.rglob("*.py")):
+            if path.name != "__init__.py":
+                yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _defined():
+    out = {}
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.setdefault(name, f"{path.relative_to(ROOT)}:{node.lineno}")
+    return out
+
+
+def _referenced():
+    out = set()
+    for _, tree in _trees(PACKAGE, ROOT / "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.update(part for part in (node.name, node.asname) if part)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def test_only_the_kept_oracles_go_unused():
+    used = _referenced()
+    unused = {name: where for name, where in _defined().items() if name not in used}
+    extra = {name: where for name, where in unused.items() if name not in ORACLES}
+    assert not extra, f"defined but used only by tests (or not at all): {extra}"
+    # an oracle that was deleted, or that the package now calls, leaves the list
+    assert set(unused) == set(ORACLES)
