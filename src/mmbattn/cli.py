@@ -218,7 +218,10 @@ def cmd_sweep(args) -> int:
     values = [part.strip() for part in args.values.split(",") if part.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    run_cfgs = [cfg.override({key: value}) for value in values]
+    run_cfgs = []
+    for value in values:
+        with naming(f"{args.config}: --values {value}"):
+            run_cfgs.append(cfg.override({key: value}))
     prepared = prepare_data(cfg)  # swept axes never affect data preparation
     out_dir = _out_dir(cfg, args)
     rows = []

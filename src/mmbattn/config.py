@@ -73,6 +73,12 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in items)
 
 
+def _parse_delimiter(raw: str) -> str:
+    if len(raw) != 1 and raw != "tab":
+        raise ValueError(f"expected one character or 'tab', got {raw!r}")
+    return "\t" if raw == "tab" else raw
+
+
 def _canon(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -81,6 +87,28 @@ def _canon(value) -> str:
     if isinstance(value, (tuple, list)):
         return ",".join(_canon(v) for v in value)
     return str(value)
+
+
+_REQUIRED = object()
+
+
+def _read_keys(kv: dict[str, str], keys: dict[str, tuple]) -> dict:
+    """Parse ``kv`` by a table of ``key: (parser, default | _REQUIRED)``."""
+    unknown = [k for k in kv if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    values = {}
+    for key, (parser, default) in keys.items():
+        if key not in kv:
+            if default is _REQUIRED:
+                raise ConfigError(f"{key} is required")
+            values[key] = default
+            continue
+        try:
+            values[key] = parser(kv[key])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
+    return values
 
 
 # parser, default (None = key absent unless set)
@@ -106,8 +134,9 @@ _RUN_KEYS: dict[str, tuple] = {
     "train.patience": (int, 2),
 }
 
-_PATH_KEYS = ("data.schema", "data.train", "data.valid", "data.test",
-              "data.file", "data.synth")
+# The data.* keys a run config may set together: one set per data source.
+_DATA_SOURCES = ({"data.synth"}, {"data.file", "data.schema"},
+                 {"data.train", "data.valid", "data.test", "data.schema"})
 
 
 @dataclass(frozen=True)
@@ -190,25 +219,8 @@ class RunConfig:
 
 
 def _resolve_run(kv: dict[str, str], base_dir: Path) -> RunConfig:
-    unknown = [k for k in kv if k not in _RUN_KEYS]
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    values: dict = {}
-    resolved: dict[str, str] = {}
-    for key, (parser, default) in _RUN_KEYS.items():
-        if key in kv:
-            try:
-                value = parser(kv[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {exc}") from None
-        else:
-            value = default
-        values[key] = value
-        if value is not None:
-            resolved[key] = _canon(value)
-    if not values["run.seeds"]:
-        raise ConfigError("run.seeds must be non-empty")
-
+    values = _read_keys(kv, _RUN_KEYS)
+    resolved = {k: _canon(v) for k, v in values.items() if v is not None}
     cfg = RunConfig(values=values, resolved=resolved, base_dir=base_dir)
     cfg.attn_config()
     cfg.tower_config()
@@ -216,22 +228,13 @@ def _resolve_run(kv: dict[str, str], base_dir: Path) -> RunConfig:
     if values["model.embedding_dim"] < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
 
-    synth = values["data.synth"]
-    single = values["data.file"]
-    presplit = values["data.train"]
-    modes = sum(x is not None for x in (synth, single, presplit))
-    if modes != 1:
-        raise ConfigError("exactly one of data.synth, data.file, or "
-                          "data.train/valid/test must be set")
-    if presplit is not None:
-        if values["data.valid"] is None or values["data.test"] is None:
-            raise ConfigError("data.train requires data.valid and data.test")
-        if values["data.schema"] is None:
-            raise ConfigError("CSV data requires data.schema")
-    if single is not None and values["data.schema"] is None:
-        raise ConfigError("CSV data requires data.schema")
-    for key in _PATH_KEYS:
-        if values[key] is not None and not cfg.path(key).exists():
+    given = [k for k in _RUN_KEYS if k.startswith("data.") and values[k] is not None]
+    if set(given) not in _DATA_SOURCES:
+        raise ConfigError(f"set exactly one data source: data.synth, data.file with "
+                          f"data.schema, or data.train/valid/test with data.schema "
+                          f"(got {', '.join(given) or 'none'})")
+    for key in given:
+        if not cfg.path(key).exists():
             raise ConfigError(f"{key} refers to a missing file: {cfg.path(key)}")
     return cfg
 
@@ -254,8 +257,12 @@ def load_run_config(path, overrides=(), seeds=None, out=None) -> RunConfig:
 
 # -- schema files ----------------------------------------------------------
 
-_SCHEMA_KEYS = {"schema.label", "schema.min_count", "schema.buckets",
-                "schema.delimiter"}
+_SCHEMA_KEYS: dict[str, tuple] = {
+    "schema.label": (str, _REQUIRED),
+    "schema.min_count": (int, 1),
+    "schema.buckets": (int, 10),
+    "schema.delimiter": (_parse_delimiter, ","),
+}
 _KINDS = {"categorical": CATEGORICAL, "numeric": NUMERIC}
 
 
@@ -264,64 +271,42 @@ def load_schema(path) -> FieldSchema:
     kv = parse_kv(path)
     with naming(path):
         fields = []
-        options: dict[str, str] = {}
-        for key, value in kv.items():
-            if key.startswith("field."):
-                name = key[len("field."):]
-                if value not in _KINDS:
-                    raise ConfigError(f"field {name!r}: unknown kind {value!r} "
-                                      f"(expected categorical or numeric)")
-                fields.append((name, _KINDS[value]))
-            elif key in _SCHEMA_KEYS:
-                options[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        if "schema.label" not in options:
-            raise ConfigError("schema.label is required")
-        delimiter = options.get("schema.delimiter", ",")
-        if delimiter == "tab":
-            delimiter = "\t"
-        counts = {}
-        for key, default in (("schema.min_count", "1"), ("schema.buckets", "10")):
-            raw = options.get(key, default)
-            try:
-                counts[key] = int(raw)
-            except ValueError:
-                raise ConfigError(f"{key} = {raw!r} is not an integer") from None
+        for key in [k for k in kv if k.startswith("field.")]:
+            name, kind = key[len("field."):], kv.pop(key)
+            if kind not in _KINDS:
+                raise ConfigError(f"field {name!r}: unknown kind {kind!r} "
+                                  f"(expected categorical or numeric)")
+            fields.append((name, _KINDS[kind]))
+        options = _read_keys(kv, _SCHEMA_KEYS)
         return FieldSchema(fields=tuple(fields),
                            label_column=options["schema.label"],
-                           min_count=counts["schema.min_count"],
-                           buckets=counts["schema.buckets"],
-                           delimiter=delimiter)
+                           min_count=options["schema.min_count"],
+                           buckets=options["schema.buckets"],
+                           delimiter=options["schema.delimiter"])
 
 
 # -- synthetic-data spec files ----------------------------------------------
 
-_SYNTH_KEYS = {"synth.rows", "synth.fields", "synth.cardinality",
-               "synth.informative", "synth.weight_scale", "synth.seed"}
+_SYNTH_KEYS: dict[str, tuple] = {
+    "synth.rows": (int, _REQUIRED),
+    "synth.fields": (int, _REQUIRED),
+    "synth.cardinality": (_parse_int_list, (8,)),
+    "synth.informative": (_parse_int_list, _REQUIRED),
+    "synth.weight_scale": (float, 2.0),
+    "synth.seed": (int, 0),
+}
 
 
 def load_synth_spec(path) -> SynthSpec:
     kv = parse_kv(path)
     with naming(path):
-        unknown = [k for k in kv if k not in _SYNTH_KEYS]
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
-        for required in ("synth.rows", "synth.fields", "synth.informative"):
-            if required not in kv:
-                raise ConfigError(f"{required} is required")
-        try:
-            n_fields = int(kv["synth.fields"])
-            cards = _parse_int_list(kv.get("synth.cardinality", "8"))
-            informative = _parse_int_list(kv["synth.informative"])
-            n_rows = int(kv["synth.rows"])
-            weight_scale = float(kv.get("synth.weight_scale", "2.0"))
-            seed = int(kv.get("synth.seed", "0"))
-        except ValueError as exc:
-            raise ConfigError(f"bad synth spec value: {exc}") from None
+        values = _read_keys(kv, _SYNTH_KEYS)
+        cards, n_fields = values["synth.cardinality"], values["synth.fields"]
         if len(cards) == 1:
-            cards = cards * n_fields
+            cards *= n_fields
         if len(cards) != n_fields:
             raise ConfigError("synth.cardinality must have one entry or one per field")
-        return SynthSpec(n_rows=n_rows, cardinalities=cards, informative=informative,
-                         weight_scale=weight_scale, seed=seed)
+        return SynthSpec(n_rows=values["synth.rows"], cardinalities=cards,
+                         informative=values["synth.informative"],
+                         weight_scale=values["synth.weight_scale"],
+                         seed=values["synth.seed"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .autograd import stable_sigmoid
+from .checkpoint import write_atomic
 from .errors import ContractError, DataError, RowError, SchemaError, SynthSpecError
 from .seeding import derive_seed
 
@@ -160,7 +162,7 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
     if header is None:
-        raise DataError(f"{path}: empty input stream")
+        raise DataError(f"{path}: empty file")
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     return header, rows
@@ -195,7 +197,7 @@ def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
              names: Sequence[str]) -> list[list[str]]:
     """Check every row's width, then return the named columns' cells."""
     if not rows:
-        raise DataError("no data rows in input stream")
+        raise DataError("no data rows")
     for name in (*schema.field_names, schema.label_column):
         if name not in header:
             raise SchemaError(f"missing column {name!r} in header")
@@ -440,9 +442,7 @@ def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
 
 
 def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
-    """Write train/valid/test CSVs plus ground truth; returns row counts."""
-    import json
-
+    """Write train/valid/test CSVs plus ground truth atomically; returns row counts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     *splits, truth = synth_generate(spec)
@@ -451,7 +451,7 @@ def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
         lines = [header]
         for idx, label in zip(batch.indices, batch.labels):
             lines.append(",".join([*(f"v{i - 1}" for i in idx), str(int(label))]))
-        (out / f"{split}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(out / f"{split}.csv", ("\n".join(lines) + "\n").encode("utf-8"))
     truth_doc = {
         "fields": list(spec.field_names),
         "informative": list(spec.informative),
@@ -459,6 +459,6 @@ def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
         "bayes_auc": truth.bayes_auc,
         "base_rate": truth.base_rate,
     }
-    (out / "ground_truth.json").write_text(
-        json.dumps(truth_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(out / "ground_truth.json",
+                 (json.dumps(truth_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return {split: batch.n for split, batch in zip(SPLITS, splits)}

@@ -36,15 +36,12 @@ class Model:
     views into ``params`` and ``grads`` at its registry offset.
     """
 
-    def __init__(self, schema: FieldSchema, vocab: Vocabulary,
-                 embedding: EmbeddingTable,
+    def __init__(self, embedding: EmbeddingTable,
                  attn_config: MMBAttnConfig | None,
                  attn_params: AttnParams | None,
                  tower: list[tuple[Tensor, Tensor]],
                  registry: dict[str, Tensor],
                  params: np.ndarray, grads: np.ndarray):
-        self.schema = schema
-        self.vocab = vocab
         self.embedding = embedding
         self.attn_config = attn_config
         self.attn_params = attn_params
@@ -124,5 +121,4 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
         registry[f"embed.{name}"] = rows = Tensor(table.data[lo:hi], requires_grad=True)
         rows.grad = table.grad[lo:hi]
     registry.update(dense)
-    return Model(schema, vocab, embedding, cfg, attn_params, tower, registry,
-                 params, grads)
+    return Model(embedding, cfg, attn_params, tower, registry, params, grads)

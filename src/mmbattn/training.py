@@ -28,8 +28,8 @@ class TrainConfig:
     eval_batch_size: int = 8192
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("train.learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("train.learning_rate must be positive and finite")
         if self.batch_size < 1 or self.eval_batch_size < 1:
             raise ConfigError("batch sizes must be >= 1")
         if self.max_epochs < 1:
@@ -163,7 +163,10 @@ def _shard_logits(model: Model, data: Batch, batch_size: int) -> np.ndarray:
 
 def evaluate(model: Model, data: Batch, batch_size: int = 8192,
              threads: int = 1) -> EvalReport:
-    """Score a dataset; shards are concatenated in order before ranking."""
+    """Score a dataset; shards are concatenated in order before ranking.
+
+    A non-finite logit raises TrainingError naming its row and the first
+    non-finite parameter group."""
     if data.n == 0:
         raise ContractError("cannot evaluate an empty dataset")
     if threads <= 1 or data.n <= batch_size:
@@ -175,6 +178,10 @@ def evaluate(model: Model, data: Batch, batch_size: int = 8192,
         with ThreadPoolExecutor(max_workers=len(shards)) as pool:
             parts = list(pool.map(lambda s: _shard_logits(model, s, batch_size), shards))
         logits = np.concatenate(parts)
+    if not np.isfinite(logits).all():
+        bad = [name for name, t in model.registry.items() if not np.isfinite(t.data).all()]
+        raise TrainingError(f"non-finite logit at row {np.argmin(np.isfinite(logits))}, "
+                            f"first non-finite parameter group: {bad[0] if bad else 'none'}")
     logloss = _logits_bce_value(logits, data.labels)
     scores = stable_sigmoid(logits)
     return EvalReport(auc=auc(scores, data.labels), logloss=logloss,
@@ -222,8 +229,8 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     """Adam with early stopping on validation AUC; restores the best epoch.
 
     Emits one record per epoch ({epoch, split, auc, logloss, train_loss,
-    seconds}) and a final record with split "test".  Aborts with a
-    diagnostic naming the batch index if the loss goes non-finite.
+    seconds}) and a final record with split "test".  Aborts naming the
+    batch if the loss goes non-finite, or the split if a logit does.
     Training steps with small GEMMs run on one BLAS thread; evaluation
     keeps the library's default count.
     """
@@ -239,6 +246,13 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     work = config.batch_size * max(
         (p.data.size for name, p in model.registry.items()
          if p.data.ndim == 2 and not name.startswith("embed.")), default=0)
+
+    def score(data: Batch, split: str) -> EvalReport:
+        try:
+            return evaluate(model, data, config.eval_batch_size, eval_threads)
+        except TrainingError as exc:
+            raise TrainingError(f"epoch {epoch}, {split} split: {exc}") from None
+
     for epoch in range(1, config.max_epochs + 1):
         tick = time.perf_counter()
         losses = []
@@ -255,7 +269,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
                 step += 1
                 adam_step(params, grads, state, config, step)
                 losses.append(float(loss.data))
-        report = evaluate(model, valid_data, config.eval_batch_size, eval_threads)
+        report = score(valid_data, "valid")
         record = {"epoch": epoch, "split": "valid", "auc": report.auc,
                   "logloss": report.logloss, "train_loss": float(np.mean(losses)),
                   "seconds": round(time.perf_counter() - tick, 3)}
@@ -268,7 +282,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
             break
     model.restore(best)
     tick = time.perf_counter()
-    report = evaluate(model, test_data, config.eval_batch_size, eval_threads)
+    report = score(test_data, "test")
     record = {"epoch": epoch, "split": "test", "auc": report.auc,
               "logloss": report.logloss,
               "seconds": round(time.perf_counter() - tick, 3)}

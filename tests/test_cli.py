@@ -258,6 +258,17 @@ class TestNanAbort:
         err = capsys.readouterr().err
         assert "non-finite loss" in err and "batch" in err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_nonzero(self, tmp_path, capsys, lr):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1",
+                                             "train.learning_rate": lr})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: train.learning_rate must be positive "
+                              f"and finite")
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_embedding_dim_axis(self, tmp_path):
@@ -298,7 +309,8 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
                          "--axis", "reduction_ratio", "--values", "3,0"]) == 1
-        assert "attn.reduction_ratio must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: --values 0: attn.reduction_ratio must be >= 1")
         assert not (out / "reduction_ratio_3").exists()
 
 
@@ -430,6 +442,16 @@ class TestCsvPipeline:
         assert err.startswith("error: ")
         assert "schema.conf" in err and key in err and repr(value) in err
 
+    @pytest.mark.parametrize("value", [";;", ""])
+    def test_bad_delimiter_nonzero_exit(self, tmp_path, capsys, value):
+        cfg = self.write_csv_run(tmp_path)
+        schema = tmp_path / "schema.conf"
+        schema.write_text(schema.read_text() + f"schema.delimiter = {value}\n")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {schema}: bad value for schema.delimiter: ")
+        assert repr(value) in err
+
     @pytest.mark.parametrize("damage", ["latin-1", "directory"])
     def test_unreadable_csv_nonzero_exit(self, tmp_path, capsys, damage):
         cfg = self.write_csv_run(tmp_path)
@@ -524,7 +546,8 @@ class TestConfigErrorsNameTheirFile:
 
     @pytest.mark.parametrize("line, message", [
         ("synth.bogus = 1", "unknown config key 'synth.bogus'"),
-        ("synth.rows = lots", "bad synth spec value"),
+        ("synth.rows = lots", "bad value for synth.rows: invalid literal for int() "
+                              "with base 10: 'lots'"),
         ("synth.informative = 0,7", "informative field index out of range"),
         ("synth.weight_scale = 200", "label base rate 0.0400 outside (0.05, 0.95)"),
     ])

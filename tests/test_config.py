@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from mmbattn.config import (_RUN_KEYS, load_run_config, load_schema,
-                            load_synth_spec, parse_kv)
+from mmbattn.config import (_RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS, load_run_config,
+                            load_schema, load_synth_spec, parse_kv)
 from mmbattn.errors import ConfigError
 
 TINY = """\
@@ -122,6 +122,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             load_run_config(cfg_dir / "none.conf")
 
+    @pytest.mark.parametrize("extra, got", [
+        # a test file next to a single CSV would be silently ignored
+        ({"data.file": "data.csv", "data.schema": "schema.conf",
+          "data.test": "test.csv"}, "data.schema, data.test, data.file"),
+        # synthetic data has its own schema
+        ({"data.synth": "synth.conf", "data.schema": "schema.conf"},
+         "data.schema, data.synth"),
+        # a pre-split run needs the schema that encodes its CSVs
+        ({"data.train": "t.csv", "data.valid": "v.csv", "data.test": "test.csv"},
+         "data.train, data.valid, data.test"),
+    ], ids=["file-with-test", "synth-with-schema", "presplit-without-schema"])
+    def test_mixed_data_sources_rejected(self, cfg_dir, extra, got):
+        for name in ("data.csv", "schema.conf", "test.csv", "t.csv", "v.csv"):
+            (cfg_dir / name).write_text("")
+        lines = [ln for ln in TINY.splitlines() if not ln.startswith("data.")]
+        path = cfg_dir / "mixed.conf"
+        path.write_text("\n".join([*lines, *(f"{k} = {v}" for k, v in extra.items())]))
+        with pytest.raises(ConfigError, match=re.escape(f"(got {got})")) as exc:
+            load_run_config(path)
+        assert str(exc.value).startswith(f"{path}: set exactly one data source")
+
     def test_per_seed_digest_differs(self, cfg_dir):
         cfg = load_run_config(cfg_dir / "run.conf")
         assert cfg.digest(1) != cfg.digest(2)
@@ -162,8 +183,24 @@ class TestSchemaFile:
     def test_non_integer_count_named(self, tmp_path, key, value):
         path = tmp_path / "schema.conf"
         path.write_text(f"schema.label = y\nfield.a = categorical\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=re.escape(f"schema.conf: {key} = '{value}'")):
+        message = f"{path}: bad value for {key}: invalid literal for int() with base 10: "
+        with pytest.raises(ConfigError, match=re.escape(f"{message}{value!r}")):
             load_schema(path)
+
+    @pytest.mark.parametrize("value", [";;", "", "tabs"])
+    def test_delimiter_must_be_one_character(self, tmp_path, value):
+        path = tmp_path / "schema.conf"
+        path.write_text(f"schema.label = y\nschema.delimiter = {value}\n"
+                        "field.a = categorical\n")
+        message = (f"{path}: bad value for schema.delimiter: expected one character "
+                   f"or 'tab', got {value!r}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_schema(path)
+
+    def test_one_character_delimiter(self, tmp_path):
+        path = tmp_path / "schema.conf"
+        path.write_text("schema.label = y\nschema.delimiter = ;\nfield.a = categorical\n")
+        assert load_schema(path).delimiter == ";"
 
     def test_tab_delimiter(self, tmp_path):
         path = tmp_path / "schema.conf"
@@ -197,15 +234,73 @@ class TestSynthSpecFile:
             load_synth_spec(path)
 
 
+class TestSharedErrors:
+    """Run configs, schema files and synth specs report bad keys alike."""
+
+    def load(self, tmp_path, kind, text):
+        path = tmp_path / f"{kind}.conf"
+        path.write_text(text)
+        if kind == "run":
+            (tmp_path / "synth.conf").write_text(SYNTH)
+            return path, lambda: load_run_config(path)
+        return path, lambda: (load_schema if kind == "schema" else load_synth_spec)(path)
+
+    @pytest.mark.parametrize("kind, text", [
+        ("run", TINY + "run.extra = 1\n"),
+        ("schema", "schema.label = y\nfield.a = categorical\nschema.extra = 1\n"),
+        ("synth", SYNTH + "synth.extra = 1\n"),
+    ], ids=["run", "schema", "synth"])
+    def test_unknown_key(self, tmp_path, kind, text):
+        path, load = self.load(tmp_path, kind, text)
+        extra = f"{kind}.extra"
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown config key "
+                                                        f"{extra!r}")):
+            load()
+
+    @pytest.mark.parametrize("kind, text, key", [
+        ("run", TINY.replace("data.synth = synth.conf\n", ""), "set exactly one data source"),
+        ("schema", "field.a = categorical\n", "schema.label is required"),
+        ("synth", SYNTH.replace("synth.rows = 100\n", ""), "synth.rows is required"),
+        ("synth", SYNTH.replace("synth.informative = 0\n", ""),
+         "synth.informative is required"),
+    ], ids=["run", "schema", "synth-rows", "synth-informative"])
+    def test_missing_required_key(self, tmp_path, kind, text, key):
+        path, load = self.load(tmp_path, kind, text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {key}")):
+            load()
+
+    @pytest.mark.parametrize("kind, text, key, raw", [
+        # schema integers and synth.rows are covered in TestSchemaFile and test_cli
+        ("run", TINY + "train.patience = two\n", "train.patience", "two"),
+        ("synth", SYNTH + "synth.weight_scale = big\n", "synth.weight_scale", "big"),
+    ], ids=["run", "synth"])
+    def test_bad_value_names_key_and_value(self, tmp_path, kind, text, key, raw):
+        path, load = self.load(tmp_path, kind, text)
+        with pytest.raises(ConfigError) as exc:
+            load()
+        message = str(exc.value)
+        assert message.startswith(f"{path}: bad value for {key}: ")
+        assert repr(raw) in message
+
+
+def documented_keys(heading):
+    """Keys in the first column of the README table under ``heading``."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    keys = set()
+    for line in text.split("\n#", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            section, names = token.split(".", 1)
+            keys.update(f"{section}.{name}" for name in names.split("/"))
+    return keys
+
+
 class TestReadmeTable:
     def test_documented_keys_equal_run_keys(self):
-        readme = Path(__file__).resolve().parent.parent / "README.md"
-        text = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
-        keys = set()
-        for line in text.split("\n## ", 1)[0].splitlines():
-            if not line.startswith("| `"):
-                continue
-            for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
-                section, names = token.split(".", 1)
-                keys.update(f"{section}.{name}" for name in names.split("/"))
-        assert keys == set(_RUN_KEYS)
+        assert documented_keys("## Configuration") == set(_RUN_KEYS)
+
+    def test_documented_schema_and_synth_keys(self):
+        assert documented_keys("### Schema files") == set(_SCHEMA_KEYS)
+        assert documented_keys("### Synthetic-data specs") == set(_SYNTH_KEYS)

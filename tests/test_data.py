@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ class TestReadTable:
     def test_empty_file_names_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(DataError, match="empty.csv: empty input stream"):
+        with pytest.raises(DataError, match="empty.csv: empty file$"):
             read_table(path)
 
     def test_header_only_file_names_file(self, tmp_path):
@@ -275,6 +276,25 @@ class TestSynth:
         for name in ("train.csv", "valid.csv", "test.csv", "ground_truth.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
+        spec = SynthSpec(n_rows=200, cardinalities=(4, 4), informative=(0,), seed=5)
+        synth_write_csv(spec, tmp_path)
+        before = (tmp_path / "train.csv").read_bytes()
+
+        def half_then_fail(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            synth_write_csv(SynthSpec(n_rows=200, cardinalities=(4, 4),
+                                      informative=(0,), seed=6), tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / "train.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ground_truth.json", "test.csv", "train.csv", "valid.csv"]
 
     def test_split_sizes(self):
         spec = SynthSpec(n_rows=1000, cardinalities=(4, 4), informative=(0,), seed=1)

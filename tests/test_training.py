@@ -204,6 +204,15 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=r"epoch 1, batch 0"):
             train(model, tr, va, te, cfg, run_seed=1)
 
+    def test_non_finite_parameters_after_last_step_name_epoch(self):
+        # one step per epoch: the step loss stays finite, the update is not
+        spec, (tr, va, te, _) = tiny_planted()
+        model = self.build_model(spec)
+        cfg = TrainConfig(batch_size=tr.n, max_epochs=2, learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingError, match=r"epoch 1, valid split: non-finite logit"):
+            train(model, tr, va, te, cfg, run_seed=1)
+
     def test_one_step_decreases_loss_for_some_lr(self):
         # line-search invariant over lr in {1e-2, 1e-3, 1e-4}
         spec, (tr, _, _, _) = tiny_planted()
@@ -255,8 +264,18 @@ class TestEvaluate:
         assert np.array_equal(one.scores, many.scores)
         assert one.auc == many.auc and one.logloss == many.logloss
 
+    def test_nan_parameter_raises_naming_row_and_group(self):
+        spec, (_, _, te, _) = tiny_planted()
+        model = build(spec.schema(), spec.vocabulary(), 4,
+                      MMBAttnConfig(reduction_ratio=2), TowerConfig((8,)), seed=3)
+        model.registry["tower.1.bias"].data[0] = np.nan
+        with pytest.raises(TrainingError, match=r"non-finite logit at row 0, first "
+                                                r"non-finite parameter group: tower.1.bias"):
+            evaluate(model, te)
+
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=-1.0)
+        for lr in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+                TrainConfig(learning_rate=lr)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
