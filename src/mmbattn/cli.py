@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, MMBAttnError
 from .gradcheck import run_gradcheck
 from .model import Model, build
 from .seeding import derive_seed
-from .training import MetricsReport, eval_thread_count, evaluate, train
+from .training import EvalReport, eval_thread_count, evaluate, train
 
 GRADCHECK_TOL = 1e-4
 
@@ -80,14 +80,12 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
 
 
 def _build_model(cfg: RunConfig, seed: int, prepared: PreparedData) -> Model:
-    model_seed = cfg.model_seed if cfg.model_seed is not None \
-        else derive_seed(seed, "model-init")
     return build(prepared.schema, prepared.vocab, cfg.embedding_dim,
-                 cfg.attn_config(), cfg.tower_config(), model_seed)
+                 cfg.attn_config(), cfg.tower_config(), derive_seed(seed, "model-init"))
 
 
 def run_single(cfg: RunConfig, seed: int, out_dir: Path,
-               prepared: PreparedData) -> MetricsReport:
+               prepared: PreparedData) -> EvalReport:
     """Train one seed; writes metrics.jsonl, checkpoint.mmbc, run_info.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _build_model(cfg, seed, prepared)
@@ -108,7 +106,6 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
     }
     ckpt.write_atomic(out_dir / "run_info.json",
                       (json.dumps(info, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    report.model = model  # type: ignore[attr-defined]
     return report
 
 
@@ -125,7 +122,7 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     return Path.cwd() / "runs" / Path(args.config).stem
 
 
-def _summarize(reports: dict[int, MetricsReport]) -> dict[str, float]:
+def _summarize(reports: dict[int, EvalReport]) -> dict[str, float]:
     aucs = np.array([r.auc for r in reports.values()])
     lls = np.array([r.logloss for r in reports.values()])
     return {"auc_mean": float(aucs.mean()),
@@ -135,7 +132,7 @@ def _summarize(reports: dict[int, MetricsReport]) -> dict[str, float]:
 
 
 def _run_all_seeds(cfg: RunConfig, out_dir: Path,
-                   prepared: PreparedData) -> dict[int, MetricsReport]:
+                   prepared: PreparedData) -> dict[int, EvalReport]:
     return {seed: run_single(cfg, seed, out_dir / f"seed_{seed}", prepared)
             for seed in cfg.seeds}
 

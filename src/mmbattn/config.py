@@ -123,7 +123,6 @@ _RUN_KEYS: dict[str, tuple] = {
     "data.synth": (str, None),
     "model.embedding_dim": (int, 10),
     "model.hidden_sizes": (_parse_int_list, (400, 400, 400)),
-    "model.seed": (int, None),
     "attn.use_max": (_parse_bool, True),
     "attn.use_mean": (_parse_bool, True),
     "attn.use_bitwise": (_parse_bool, True),
@@ -165,10 +164,6 @@ class RunConfig:
     @property
     def embedding_dim(self) -> int:
         return self.values["model.embedding_dim"]
-
-    @property
-    def model_seed(self) -> int | None:
-        return self.values["model.seed"]
 
     def attn_config(self) -> MMBAttnConfig:
         return MMBAttnConfig(
@@ -240,7 +235,9 @@ def _resolve_run(kv: dict[str, str], base_dir: Path) -> RunConfig:
 
 
 def load_run_config(path, overrides=(), seeds=None, out=None) -> RunConfig:
-    """Load a run config file and apply CLI-level overrides."""
+    """Load a run config file and apply CLI-level overrides.
+
+    Errors name the file, and the overrides too when any are given."""
     kv = parse_kv(path)
     for item in overrides:
         if "=" not in item:
@@ -251,7 +248,10 @@ def load_run_config(path, overrides=(), seeds=None, out=None) -> RunConfig:
         kv["run.seeds"] = ",".join(str(s) for s in seeds)
     if out is not None:
         kv["run.out"] = str(out)
-    with naming(path):
+    where = path
+    if overrides:
+        where = f"{path} with " + " ".join(f"--override {item}" for item in overrides)
+    with naming(where):
         return _resolve_run(kv, Path(path).resolve().parent)
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .model import Model
 from .seeding import derive_seed
 
 EVAL_THREADS_ENV = "MMBATTN_EVAL_THREADS"
+EVAL_BATCH_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -25,13 +27,13 @@ class TrainConfig:
     batch_size: int = 4096
     max_epochs: int = 10
     patience: int = 2
-    eval_batch_size: int = 8192
+    eval_batch_size: ClassVar[int] = EVAL_BATCH_SIZE
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("train.learning_rate must be positive and finite")
-        if self.batch_size < 1 or self.eval_batch_size < 1:
-            raise ConfigError("batch sizes must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("train.batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError("train.max_epochs must be >= 1")
         if self.patience < 1:
@@ -161,7 +163,7 @@ def _shard_logits(model: Model, data: Batch, batch_size: int) -> np.ndarray:
     return out
 
 
-def evaluate(model: Model, data: Batch, batch_size: int = 8192,
+def evaluate(model: Model, data: Batch, batch_size: int = EVAL_BATCH_SIZE,
              threads: int = 1) -> EvalReport:
     """Score a dataset; shards are concatenated in order before ranking.
 
@@ -191,55 +193,25 @@ def evaluate(model: Model, data: Batch, batch_size: int = 8192,
 # -- training loop -------------------------------------------------------
 
 
-class EarlyStopper:
-    """Stop after ``patience`` epochs without a strictly better value."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.bad_epochs = 0
-
-    def update(self, value: float) -> bool:
-        """Record an epoch value; True when it improved the best so far."""
-        if value > self.best:
-            self.best = value
-            self.bad_epochs = 0
-            return True
-        self.bad_epochs += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad_epochs >= self.patience
-
-
-@dataclass
-class MetricsReport:
-    """Final test metrics plus the per-epoch history."""
-
-    auc: float
-    logloss: float
-    n: int
-    history: list[dict] = field(default_factory=list)
-
-
 def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
           config: TrainConfig, run_seed: int, emit=None,
-          eval_threads: int = 1) -> MetricsReport:
-    """Adam with early stopping on validation AUC; restores the best epoch.
+          eval_threads: int = 1) -> EvalReport:
+    """Adam with early stopping on validation AUC; returns the test report.
 
-    Emits one record per epoch ({epoch, split, auc, logloss, train_loss,
-    seconds}) and a final record with split "test".  Aborts naming the
-    batch if the loss goes non-finite, or the split if a logit does.
-    Training steps with small GEMMs run on one BLAS thread; evaluation
-    keeps the library's default count.
+    Training stops once ``config.patience`` epochs in a row bring no
+    strictly higher validation AUC, and the best epoch's parameters are
+    restored before the test split is scored.  ``emit`` receives one
+    record per epoch ({epoch, split, auc, logloss, train_loss, seconds})
+    and a final record with split "test".  Aborts naming the batch if the
+    loss goes non-finite, or the split if a logit does.  Training steps
+    with small GEMMs run on one BLAS thread; evaluation keeps the
+    library's default count.
     """
+    emit = emit or (lambda record: None)
     shuffle_seed = derive_seed(run_seed, "shuffle")
     params, grads = {"params": model.params}, {"params": model.grads}
     state = init_adam_state(params)
-    stopper = EarlyStopper(config.patience)
-    best = model.snapshot()
-    history: list[dict] = []
+    best_auc, bad_epochs, best = -np.inf, 0, model.snapshot()
     step = 0
     epoch = 0
     # The step's largest GEMM: a batch through the widest dense weight.
@@ -249,7 +221,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
 
     def score(data: Batch, split: str) -> EvalReport:
         try:
-            return evaluate(model, data, config.eval_batch_size, eval_threads)
+            return evaluate(model, data, threads=eval_threads)
         except TrainingError as exc:
             raise TrainingError(f"epoch {epoch}, {split} split: {exc}") from None
 
@@ -270,24 +242,19 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
                 adam_step(params, grads, state, config, step)
                 losses.append(float(loss.data))
         report = score(valid_data, "valid")
-        record = {"epoch": epoch, "split": "valid", "auc": report.auc,
-                  "logloss": report.logloss, "train_loss": float(np.mean(losses)),
-                  "seconds": round(time.perf_counter() - tick, 3)}
-        history.append(record)
-        if emit is not None:
-            emit(record)
-        if stopper.update(report.auc):
-            best = model.snapshot()
-        if stopper.should_stop:
-            break
+        emit({"epoch": epoch, "split": "valid", "auc": report.auc,
+              "logloss": report.logloss, "train_loss": float(np.mean(losses)),
+              "seconds": round(time.perf_counter() - tick, 3)})
+        if report.auc > best_auc:
+            best_auc, bad_epochs, best = report.auc, 0, model.snapshot()
+        else:
+            bad_epochs += 1
+            if bad_epochs >= config.patience:
+                break
     model.restore(best)
     tick = time.perf_counter()
     report = score(test_data, "test")
-    record = {"epoch": epoch, "split": "test", "auc": report.auc,
-              "logloss": report.logloss,
-              "seconds": round(time.perf_counter() - tick, 3)}
-    history.append(record)
-    if emit is not None:
-        emit(record)
-    return MetricsReport(auc=report.auc, logloss=report.logloss,
-                         n=test_data.n, history=history)
+    emit({"epoch": epoch, "split": "test", "auc": report.auc,
+          "logloss": report.logloss,
+          "seconds": round(time.perf_counter() - tick, 3)})
+    return report

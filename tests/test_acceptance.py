@@ -12,7 +12,7 @@ import pytest
 from mmbattn import cli
 from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor
-from mmbattn.checkpoint import load_checkpoint, save_checkpoint
+from mmbattn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from mmbattn.config import load_run_config, load_schema, load_synth_spec
 from mmbattn.data import batches, build_vocab_rows, encode_rows, read_table
 from mmbattn.model import TowerConfig, build
@@ -135,9 +135,15 @@ def planted_runs(tmp_path_factory):
     start = time.perf_counter()
     full = {}
     for seed in cfg.seeds:
-        rep = cli.run_single(cfg, seed, out_root / "full" / f"seed_{seed}", prepared)
+        run_dir = out_root / "full" / f"seed_{seed}"
+        rep = cli.run_single(cfg, seed, run_dir, prepared)
+        # the weights are read back from the run's own checkpoint
+        model = build(prepared.schema, prepared.vocab, cfg.embedding_dim,
+                      cfg.attn_config(), cfg.tower_config(), seed=0)
+        restore_model(model, load_checkpoint(run_dir / "checkpoint.mmbc"),
+                      expected_digest=cfg.digest(seed))
         weights = np.concatenate(
-            [rep.model.field_weights(b) for b in batches(prepared.test, 16384)])
+            [model.field_weights(b) for b in batches(prepared.test, 16384)])
         full[seed] = {"auc": rep.auc, "mean_weights": weights.mean(axis=0)}
     full_seconds = time.perf_counter() - start
     base = {}
@@ -235,7 +241,6 @@ class TestCheckpointRoundTrip:
         save_checkpoint(p1, model.registry, digest)
         ckpt = load_checkpoint(p1)
         other = _tiny_model(MMBAttnConfig(reduction_ratio=2), seed=99)
-        from mmbattn.checkpoint import restore_model
         restore_model(other, ckpt, expected_digest=digest)
         save_checkpoint(p2, other.registry, ckpt.digest)
         ok = p1.read_bytes() == p2.read_bytes()

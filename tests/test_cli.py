@@ -531,7 +531,7 @@ class TestConfigErrorsNameTheirFile:
 
     @pytest.mark.parametrize("line, message", [
         ("train.batch_size = many", "bad value for train.batch_size"),
-        ("train.batch_size = 0", "batch sizes must be >= 1"),
+        ("train.batch_size = 0", "train.batch_size must be >= 1"),
         ("train.batch_size", ":7: expected 'key = value'"),
         ("model.hidden_sizes = 0", "model.hidden_sizes entries must be >= 1"),
     ])
@@ -543,6 +543,15 @@ class TestConfigErrorsNameTheirFile:
         err = self.run_error(cfg, capsys, tmp_path)
         assert err.startswith(f"error: {cfg}") and message in err
         assert err.count(str(cfg)) == 1
+
+    def test_override_named_with_file(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        assert cli.main(["train", "--config", str(cfg), "--override", "attn.use_max=false",
+                         "--override", "train.batch_size=0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg} with --override attn.use_max=false "
+                              f"--override train.batch_size=0: "
+                              f"train.batch_size must be >= 1")
 
     @pytest.mark.parametrize("line, message", [
         ("synth.bogus = 1", "unknown config key 'synth.bogus'"),

@@ -91,6 +91,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config key 'attn.combine_mode'"):
             load_run_config(cfg_dir / "run.conf", ["attn.combine_mode=residual_product"])
 
+    def test_removed_init_seed_key_rejected(self, cfg_dir):
+        (cfg_dir / "seeded.conf").write_text(TINY + "model.seed = 5\n")
+        with pytest.raises(ConfigError, match="unknown config key 'model.seed'"):
+            load_run_config(cfg_dir / "seeded.conf")
+
     def test_digest_independent_of_key_order(self, cfg_dir):
         lines = TINY.strip().splitlines()
         (cfg_dir / "reordered.conf").write_text("\n".join(reversed(lines)) + "\n")

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mmbattn import training
 from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor, stable_sigmoid
 from mmbattn.data import SynthSpec, synth_generate
 from mmbattn.errors import ConfigError, ContractError, MetricError, TrainingError
 from mmbattn.model import TowerConfig, build
-from mmbattn.training import (EarlyStopper, TrainConfig, adam_step, auc,
-                              bce_loss, bce_with_logits, evaluate,
-                              init_adam_state, train)
+from mmbattn.training import (EvalReport, TrainConfig, adam_step, auc, bce_loss,
+                              bce_with_logits, evaluate, init_adam_state, train)
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -143,32 +143,53 @@ class TestAdam:
             adam_step(reg, {"w": np.ones(1)}, init_adam_state(reg), TrainConfig(), t=0)
 
 
-class TestEarlyStopper:
-    def test_patience_one_stops_after_decline(self):
-        # AUC strictly decreasing after epoch 1 stops at epoch 2
-        stopper = EarlyStopper(patience=1)
-        assert stopper.update(0.9)
-        assert not stopper.should_stop
-        assert not stopper.update(0.8)
-        assert stopper.should_stop
-
-    def test_improvement_resets_patience(self):
-        stopper = EarlyStopper(patience=2)
-        stopper.update(0.5)
-        stopper.update(0.4)
-        assert not stopper.should_stop
-        stopper.update(0.6)
-        assert stopper.bad_epochs == 0
-        stopper.update(0.5)
-        stopper.update(0.55)
-        assert stopper.should_stop
-
-
 def tiny_planted():
     # 1 informative near-deterministic binary field + 2 noise fields
     spec = SynthSpec(n_rows=6000, cardinalities=(2, 4, 4), informative=(0,),
                      weight_scale=10.0, seed=7)
     return spec, synth_generate(spec)
+
+
+class TestEarlyStopping:
+    def train_scripted(self, monkeypatch, patience, valid_aucs):
+        """Train while the valid split scores the scripted AUCs, one per epoch.
+
+        Returns the emitted records, the parameters at each valid scoring
+        and the parameters left after training."""
+        spec, (tr, va, te, _) = tiny_planted()
+        model = build(spec.schema(), spec.vocabulary(), 4, None,
+                      TowerConfig((16,)), seed=1)
+        real_evaluate, scripted, params_at = training.evaluate, iter(valid_aucs), []
+
+        def scripted_evaluate(model, data, *args, **kwargs):
+            if data is not va:
+                return real_evaluate(model, data, *args, **kwargs)
+            params_at.append(model.params.copy())
+            return EvalReport(auc=next(scripted), logloss=0.5, n=data.n,
+                              scores=np.full(data.n, 0.5))
+
+        monkeypatch.setattr(training, "evaluate", scripted_evaluate)
+        records = []
+        cfg = TrainConfig(batch_size=1024, max_epochs=len(valid_aucs),
+                          patience=patience, learning_rate=5e-3)
+        train(model, tr, va, te, cfg, run_seed=1, emit=records.append)
+        return records, params_at, model.params
+
+    def test_patience_one_stops_after_decline(self, monkeypatch):
+        records, params_at, final = self.train_scripted(monkeypatch, 1, [0.9, 0.8, 0.95])
+        assert [(r["epoch"], r["split"]) for r in records] == [
+            (1, "valid"), (2, "valid"), (2, "test")]
+        assert np.array_equal(final, params_at[0])
+        assert not np.array_equal(final, params_at[1])
+
+    def test_improvement_resets_patience(self, monkeypatch):
+        # epoch 3 improves and resets the count; the tie at epoch 4 does not
+        records, params_at, final = self.train_scripted(
+            monkeypatch, 2, [0.5, 0.4, 0.6, 0.6, 0.55, 0.99])
+        assert [r["auc"] for r in records[:-1]] == [0.5, 0.4, 0.6, 0.6, 0.55]
+        assert records[-1]["split"] == "test" and records[-1]["epoch"] == 5
+        assert np.array_equal(final, params_at[2])
+        assert not np.array_equal(final, params_at[3])
 
 
 class TestTrainLoop:
@@ -187,11 +208,14 @@ class TestTrainLoop:
     def test_same_seed_bitwise_identical_curves(self):
         spec, (tr, va, te, _) = tiny_planted()
         cfg = TrainConfig(batch_size=512, max_epochs=2, learning_rate=1e-3)
-        reports = []
+        runs = []
         for _ in range(2):
             model = self.build_model(spec)
-            reports.append(train(model, tr, va, te, cfg, run_seed=9))
-        for a, b in zip(reports[0].history, reports[1].history):
+            records = []
+            train(model, tr, va, te, cfg, run_seed=9, emit=records.append)
+            runs.append(records)
+        assert len(runs[0]) == 3
+        for a, b in zip(*runs):
             assert a["auc"] == b["auc"]
             assert a["logloss"] == b["logloss"]
             assert a.get("train_loss") == b.get("train_loss")
