@@ -72,7 +72,8 @@ def hidden_width(c: int, r: int) -> int:
 
 @dataclass
 class AttnParams:
-    """Branch MLP weights; the max and mean branches never share storage."""
+    """Branch MLP weights, ``max_w1`` for registry name ``attn.max.w1`` and so
+    on; the max and mean branches never share storage."""
 
     max_w1: Tensor | None = None
     max_w2: Tensor | None = None
@@ -81,42 +82,27 @@ class AttnParams:
     bit_w1: Tensor | None = None
     bit_w2: Tensor | None = None
 
-    def named(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for branch in ("max", "mean", "bit"):
-            for part in ("w1", "w2"):
-                t = getattr(self, f"{branch}_{part}")
-                if t is not None:
-                    out[f"attn.{branch}.{part}"] = t
-        return out
-
 
 def init_attn_params(config: MMBAttnConfig, n_fields: int, d: int,
-                     seed: int) -> AttnParams:
-    """Seeded Normal(0, 1/C) weights per branch (C = branch input width).
+                     seed: int) -> dict[str, np.ndarray]:
+    """Seeded Normal(0, 1/C) weights keyed ``attn.<branch>.<part>``.
 
-    Weights are stored (in, out) like the tower's: ``w1`` is (C, h) and
-    ``w2`` is (h, C).  Each is drawn with shape (out, in), as earlier
-    releases stored it, and its axes are swapped, so initial values match.
+    C is the branch input width.  Weights are stored (in, out) like the
+    tower's: ``w1`` is (C, h) and ``w2`` is (h, C).  Each is drawn with shape
+    (out, in), as earlier releases stored it, then transposed, so initial
+    values match.
     """
-
-    def make(branch: str, c: int) -> tuple[Tensor, Tensor]:
-        h = hidden_width(c, config.reduction_ratio)
-        std = 1.0 / np.sqrt(c)
-        rng1 = np.random.default_rng(derive_seed(seed, f"init:attn.{branch}.w1"))
-        rng2 = np.random.default_rng(derive_seed(seed, f"init:attn.{branch}.w2"))
-        w1 = Tensor(rng1.normal(0.0, std, size=(h, c)).T, requires_grad=True)
-        w2 = Tensor(rng2.normal(0.0, std, size=(c, h)).T, requires_grad=True)
-        return w1, w2
-
-    params = AttnParams()
-    if config.use_max:
-        params.max_w1, params.max_w2 = make("max", n_fields)
-    if config.use_mean:
-        params.mean_w1, params.mean_w2 = make("mean", n_fields)
-    if config.use_bitwise:
-        params.bit_w1, params.bit_w2 = make("bit", n_fields * d)
-    return params
+    out: dict[str, np.ndarray] = {}
+    for branch, on, c in (("max", config.use_max, n_fields),
+                          ("mean", config.use_mean, n_fields),
+                          ("bit", config.use_bitwise, n_fields * d)):
+        if on:
+            h = hidden_width(c, config.reduction_ratio)
+            for part, shape in (("w1", (h, c)), ("w2", (c, h))):
+                name = f"attn.{branch}.{part}"
+                rng = np.random.default_rng(derive_seed(seed, f"init:{name}"))
+                out[name] = rng.normal(0.0, 1.0 / np.sqrt(c), size=shape).T
+    return out
 
 
 def pool(g: Graph, e: Tensor, kind: str) -> Tensor:

@@ -132,16 +132,13 @@ def load_checkpoint(path) -> Checkpoint:
 
 def restore_model(model, ckpt: Checkpoint, expected_digest: bytes | None = None,
                   force: bool = False) -> None:
-    """Copy the payload into ``model.params``; names and shapes must match.
-
-    The payload is in registry order, the layout of ``model.params``."""
+    """Copy the payload into ``model.params``; the manifest must equal
+    ``model.layout``, offsets included."""
     if expected_digest is not None and ckpt.digest != expected_digest and not force:
         raise CheckpointError(
             f"config digest mismatch: checkpoint {ckpt.digest.hex()} vs "
             f"current {expected_digest.hex()} (use --force to load anyway)")
-    have = [(name, tuple(shape)) for name, shape, _ in ckpt.entries]
-    want = [(name, t.shape) for name, t in model.registry.items()]
-    if have != want:
-        raise CheckpointError(f"parameter manifest mismatch: checkpoint has {have}, "
-                              f"model expects {want}")
+    if ckpt.entries != list(model.layout):
+        raise CheckpointError(f"parameter manifest mismatch: checkpoint has "
+                              f"{ckpt.entries}, model expects {list(model.layout)}")
     model.params[...] = ckpt.payload

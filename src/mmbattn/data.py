@@ -155,8 +155,11 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
+            try:
+                header = next(reader, None)
+                rows = [row for row in reader if row]
+            except csv.Error as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:

@@ -29,15 +29,15 @@ class EmbeddingTable:
 
 
 def init_embeddings(schema: FieldSchema, vocab: Vocabulary, d: int,
-                    seed: int) -> EmbeddingTable:
-    """Seeded Normal(0, 0.01^2) tables; row 0 (OOV) initialized like any row."""
+                    seed: int) -> dict[str, np.ndarray]:
+    """Seeded Normal(0, 0.01^2) (V_f × d) tables keyed ``embed.<field>``.
+
+    Row 0 (OOV) is initialized like any row."""
     if d < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
-    tables = [np.random.default_rng(derive_seed(seed, f"init:embed.{name}"))
-              .normal(0.0, INIT_STD, size=(size, d))
-              for name, size in zip(schema.field_names, vocab.sizes)]
-    return EmbeddingTable(schema.field_names, vocab.sizes,
-                          Tensor(np.concatenate(tables), requires_grad=True))
+    return {f"embed.{name}": np.random.default_rng(derive_seed(seed, f"init:embed.{name}"))
+            .normal(0.0, INIT_STD, size=(size, d))
+            for name, size in zip(schema.field_names, vocab.sizes)}
 
 
 def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:
@@ -56,7 +56,7 @@ def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:
     if over.any():
         name = emb.field_names[int(np.argmax(over))]
         raise ContractError(f"index out of range for field {name!r}")
-    rows = idx + emb.offsets
+    rows = np.add(idx, emb.offsets, dtype=np.int64)
     table = emb.table
 
     def backward(grad: np.ndarray) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .attention import ABLATION_ROWS, MMBAttnConfig
@@ -38,9 +40,9 @@ def check_model(model, batch: Batch, h: float = 1e-5) -> dict[str, float]:
         down = _loss_value(model, batch)
         flat[i] = orig
         numeric[i] = (up - down) / (2.0 * h)
-    cuts = np.cumsum([p.size for p in model.registry.values()])[:-1]
-    return {name: relative_error(a, n) for name, a, n in
-            zip(model.registry, np.split(model.grads, cuts), np.split(numeric, cuts))}
+    spans = ((name, lo, lo + math.prod(shape)) for name, shape, lo in model.layout)
+    return {name: relative_error(model.grads[lo:hi], numeric[lo:hi])
+            for name, lo, hi in spans}
 
 
 def run_gradcheck(schema: FieldSchema, vocab: Vocabulary, batch: Batch, d: int,

@@ -32,23 +32,43 @@ class Model:
     branch weights (max, mean, bit), then tower weight/bias pairs
     bottom-up.  Every parameter's init stream is keyed by its own name,
     so toggling attention components never shifts the other parameters'
-    initial values.  Each registry tensor's ``data`` and ``grad`` are
-    views into ``params`` and ``grads`` at its registry offset.
+    initial values.  ``layout`` records where each parameter lives: a
+    tuple of ``(name, shape, offset)`` in registry order, offsets counted
+    in elements of ``params``.  Registry tensors view ``params`` and
+    ``grads`` at their layout offsets; the stacked embedding table views
+    the ``embed.*`` span.
     """
 
-    def __init__(self, embedding: EmbeddingTable,
-                 attn_config: MMBAttnConfig | None,
-                 attn_params: AttnParams | None,
-                 tower: list[tuple[Tensor, Tensor]],
-                 registry: dict[str, Tensor],
-                 params: np.ndarray, grads: np.ndarray):
-        self.embedding = embedding
+    def __init__(self, arrays: dict[str, np.ndarray],
+                 attn_config: MMBAttnConfig | None):
         self.attn_config = attn_config
-        self.attn_params = attn_params
-        self.tower = tower
-        self.registry = registry
-        self.params = params
-        self.grads = grads
+        self.params = np.concatenate([a.ravel() for a in arrays.values()])
+        self.grads = np.zeros_like(self.params)
+        self.registry: dict[str, Tensor] = {}
+        layout, lo = [], 0
+        for name, a in arrays.items():
+            hi = lo + a.size
+            t = self.registry[name] = Tensor(self.params[lo:hi].reshape(a.shape),
+                                             requires_grad=True)
+            t.grad = self.grads[lo:hi].reshape(a.shape)
+            layout.append((name, a.shape, lo))
+            lo = hi
+        self.layout = tuple(layout)
+
+        def group(prefix: str) -> dict[str, Tensor]:
+            return {name[len(prefix):]: t for name, t in self.registry.items()
+                    if name.startswith(prefix)}
+
+        embed = group("embed.")
+        sizes = [t.shape[0] for t in embed.values()]
+        span = sum(t.size for t in embed.values())
+        table = Tensor(self.params[:span].reshape(sum(sizes), -1), requires_grad=True)
+        table.grad = self.grads[:span].reshape(table.shape)
+        self.embedding = EmbeddingTable(tuple(embed), sizes, table)
+        self.attn_params = None if attn_config is None else AttnParams(
+            **{part.replace(".", "_"): t for part, t in group("attn.").items()})
+        tower = list(group("tower.").values())
+        self.tower = list(zip(tower[::2], tower[1::2]))
 
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
@@ -83,42 +103,14 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
           attn_config: MMBAttnConfig | None, tower_config: TowerConfig,
           seed: int) -> Model:
     """Deterministic model construction with a documented registry order."""
-    embedding = init_embeddings(schema, vocab, d, seed)
+    arrays = init_embeddings(schema, vocab, d, seed)
     cfg = attn_config if (attn_config is not None and attn_config.enabled) else None
-    attn_params = None
-    dense: dict[str, Tensor] = {}
     if cfg is not None:
-        attn_params = init_attn_params(cfg, schema.n_fields, d, seed)
-        dense.update(attn_params.named())
-
+        arrays.update(init_attn_params(cfg, schema.n_fields, d, seed))
     widths = [schema.n_fields * d, *tower_config.hidden_sizes, 1]
-    tower: list[tuple[Tensor, Tensor]] = []
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         rng = np.random.default_rng(derive_seed(seed, f"init:tower.{i}.weight"))
-        w = Tensor(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)),
-                   requires_grad=True)
-        b = Tensor(np.zeros(fan_out), requires_grad=True)
-        dense[f"tower.{i}.weight"] = w
-        dense[f"tower.{i}.bias"] = b
-        tower.append((w, b))
-
-    # Move every parameter into one vector, in registry order (the stacked
-    # embedding table first), and give each a gradient view of a twin.
-    tensors = [embedding.table, *dense.values()]
-    params = np.concatenate([t.data.ravel() for t in tensors])
-    grads = np.zeros_like(params)
-    start = 0
-    for t in tensors:
-        data = t.data
-        end = start + data.size
-        t.data = params[start:end].reshape(data.shape)
-        t.grad = grads[start:end].reshape(data.shape)
-        start = end
-    table = embedding.table
-    registry: dict[str, Tensor] = {}
-    for name, lo, hi in zip(embedding.field_names, embedding.offsets.tolist(),
-                            (embedding.offsets + embedding.sizes).tolist()):
-        registry[f"embed.{name}"] = rows = Tensor(table.data[lo:hi], requires_grad=True)
-        rows.grad = table.grad[lo:hi]
-    registry.update(dense)
-    return Model(embedding, cfg, attn_params, tower, registry, params, grads)
+        arrays[f"tower.{i}.weight"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
+                                                 size=(fan_in, fan_out))
+        arrays[f"tower.{i}.bias"] = np.zeros(fan_out)
+    return Model(arrays, cfg)

@@ -31,6 +31,13 @@ def zero_params(n_fields, d, config):
     return p
 
 
+def attn_params(config, n_fields, d, seed):
+    """``init_attn_params``' arrays as the AttnParams the module reads."""
+    arrays = init_attn_params(config, n_fields, d, seed)
+    return AttnParams(**{name[len("attn."):].replace(".", "_"): Tensor(a, requires_grad=True)
+                         for name, a in arrays.items()})
+
+
 class TestPool:
     def test_mean_and_max(self):
         e = Tensor([[[1.0, 2.0, 3.0]]])
@@ -61,7 +68,7 @@ class TestBranchAttention:
     def test_outputs_in_open_interval(self):
         rng = np.random.default_rng(1)
         cfg = MMBAttnConfig(reduction_ratio=2)
-        p = init_attn_params(cfg, 5, 3, seed=3)
+        p = attn_params(cfg, 5, 3, seed=3)
         s = Tensor(rng.normal(size=(1000, 5)))
         out = branch_attention(Graph(), s, p.max_w1, p.max_w2).data
         assert np.all(out > 0.0) and np.all(out < 1.0)
@@ -215,7 +222,7 @@ class TestApply:
         # F^MMB = F^MM + F^MM * W^B with F^MM = flatten(E * W^MM)
         e = self.rand_e()
         cfg = MMBAttnConfig(reduction_ratio=2)
-        p = init_attn_params(cfg, 3, 2, seed=1)
+        p = attn_params(cfg, 3, 2, seed=1)
         collect = {}
         out = apply_attention(Graph(), Tensor(e), p, cfg, collect)
         want = ((e * collect["w_mm"].data[:, :, None]).reshape(3, 6)
@@ -225,7 +232,7 @@ class TestApply:
     def test_bit_disabled_output_is_flat_reweight(self):
         e = self.rand_e()
         cfg = MMBAttnConfig(use_bitwise=False, reduction_ratio=2)
-        p = init_attn_params(cfg, 3, 2, seed=1)
+        p = attn_params(cfg, 3, 2, seed=1)
         collect = {}
         out = apply_attention(Graph(), Tensor(e), p, cfg, collect)
         want = (e * collect["w_mm"].data[:, :, None]).reshape(3, 6)
@@ -234,7 +241,7 @@ class TestApply:
     def test_pooling_disabled_output_is_bit_product(self):
         e = self.rand_e()
         cfg = MMBAttnConfig(use_max=False, use_mean=False, reduction_ratio=2)
-        p = init_attn_params(cfg, 3, 2, seed=1)
+        p = attn_params(cfg, 3, 2, seed=1)
         collect = {}
         out = apply_attention(Graph(), Tensor(e), p, cfg, collect)
         assert np.allclose(out.data, e.reshape(3, 6) * collect["w_bit"].data,
@@ -243,7 +250,7 @@ class TestApply:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(21)
         cfg = MMBAttnConfig(reduction_ratio=2)
-        params = init_attn_params(cfg, 3, 2, seed=5)
+        params = attn_params(cfg, 3, 2, seed=5)
         e_data = rng.normal(size=(4, 3, 2))
         target = rng.normal(size=(4, 6))
 
@@ -260,7 +267,7 @@ class TestApply:
         g.backward(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0))
 
         h = 1e-5
-        for name, p in {**params.named(), "e": e}.items():
+        for name, p in {**vars(params), "e": e}.items():
             analytic = p.grad
             numeric = np.zeros_like(p.data)
             flat, nf = p.data.ravel(), numeric.ravel()
@@ -280,7 +287,7 @@ class TestApply:
         rng = np.random.default_rng(31)
         cfg = MMBAttnConfig(reduction_ratio=2)
         f, d = 3, 2
-        p = init_attn_params(cfg, f, d, seed=9)
+        p = attn_params(cfg, f, d, seed=9)
         e = rng.normal(size=(4, f, d))
         perm = np.array([2, 0, 1])
         bitperm = np.concatenate([np.arange(d) + q * d for q in perm])
@@ -315,8 +322,7 @@ class TestConfigAndCounts:
         cfg = MMBAttnConfig(use_max=use_max, use_mean=use_mean, use_bitwise=use_bit,
                             reduction_ratio=3)
         f, d = 7, 4
-        params = init_attn_params(cfg, f, d, seed=2)
-        total = sum(t.size for t in params.named().values())
+        total = sum(a.size for a in init_attn_params(cfg, f, d, seed=2).values())
         assert total == param_count(cfg, f, d)
 
     def test_param_count_formula_value(self):
@@ -340,13 +346,17 @@ class TestLayout:
 
     def test_initial_values_are_the_out_in_draw_with_axes_swapped(self):
         f, d, r, seed = 3, 2, 2, 4
-        params = init_attn_params(MMBAttnConfig(reduction_ratio=r), f, d, seed)
+        schema = FieldSchema(fields=tuple((f"f{i}", CATEGORICAL) for i in range(f)),
+                             label_column="y")
+        vocab = Vocabulary([{"a": 1}] * f, [None] * f)
+        model = build(schema, vocab, d, MMBAttnConfig(reduction_ratio=r),
+                      TowerConfig((4,)), seed)
         for branch, c in (("max", f), ("mean", f), ("bit", f * d)):
             h = hidden_width(c, r)
             std = 1.0 / np.sqrt(c)
             for part, shape in (("w1", (h, c)), ("w2", (c, h))):
                 rng = np.random.default_rng(derive_seed(seed, f"init:attn.{branch}.{part}"))
                 drawn = rng.normal(0.0, std, size=shape)
-                stored = getattr(params, f"{branch}_{part}").data
+                stored = model.registry[f"attn.{branch}.{part}"].data
                 assert stored.flags["C_CONTIGUOUS"]
                 assert np.array_equal(stored, drawn.T)

@@ -511,6 +511,18 @@ class TestCsvPipeline:
         assert capsys.readouterr().err == (f"error: {data}: line 43: "
                                            f"label must be 0 or 1, got '2'\n")
 
+    def test_oversized_cell_names_file_and_line(self, tmp_path, capsys):
+        # the csv module refuses a field over 131072 characters
+        cfg = self.write_csv_run(tmp_path, single_file=True)
+        data = tmp_path / "data" / "train.csv"
+        lines = data.read_text().splitlines()
+        lines[4] = "x" * 200_000 + lines[4][lines[4].index(","):]
+        data.write_text("\n".join(lines) + "\n")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: line 5: "
+                                           f"field larger than field limit (131072)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_single_class_valid_csv_fails_before_training(self, tmp_path, capsys):
         cfg = self.write_csv_run(tmp_path)
         valid = tmp_path / "data" / "valid.csv"

@@ -48,6 +48,16 @@ class TestLookup:
         onehot[np.arange(10), idx[:, 0]] = 1.0
         assert np.array_equal(got, onehot @ w)
 
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
+    def test_any_integer_index_dtype_gathers_the_same_rows(self, dtype):
+        table = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+        emb = EmbeddingTable(("f0", "f1"), [2, 3], table)
+        g = Graph()
+        out = lookup(g, emb, Batch(np.array([[1, 2], [0, 0]], dtype=dtype), np.zeros(2)))
+        assert out.data.tolist() == [[[2.0, 3.0], [8.0, 9.0]], [[0.0, 1.0], [4.0, 5.0]]]
+        g.backward(g.reduce_mean(g.reduce_mean(g.reduce_mean(out, 2), 1), 0))
+        assert (table.grad[:, 0] != 0).tolist() == [True, True, True, False, True]
+
     def test_out_of_range_contract_error(self):
         emb = EmbeddingTable(("f0",), [2], Tensor(np.zeros((2, 2))))
         with pytest.raises(ContractError, match="f0"):
@@ -112,19 +122,22 @@ class TestInit:
         schema, vocab = schema_of(2), vocab_of([5, 7])
         a = init_embeddings(schema, vocab, 3, seed=4)
         b = init_embeddings(schema, vocab, 3, seed=4)
-        assert np.array_equal(a.table.data, b.table.data)
+        assert list(a) == list(b) == ["embed.f0", "embed.f1"]
+        assert all(np.array_equal(a[name], b[name]) for name in a)
         c = init_embeddings(schema, vocab, 3, seed=5)
-        assert not np.array_equal(a.table.data[:5], c.table.data[:5])
+        assert not np.array_equal(a["embed.f0"], c["embed.f0"])
 
     def test_statistics(self):
         # 10k entries ~ N(0, 0.01^2): sample mean within 3 sigma of zero
         vocab = vocab_of([2500])
-        table = init_embeddings(schema_of(1), vocab, 4, seed=0).table
-        assert table.data.shape == (2500, 4)
-        assert abs(table.data.mean()) < 3 * 0.01 / np.sqrt(10000)
+        table = init_embeddings(schema_of(1), vocab, 4, seed=0)["embed.f0"]
+        assert table.shape == (2500, 4)
+        assert abs(table.mean()) < 3 * 0.01 / np.sqrt(10000)
 
     def test_d_one_runs(self):
-        emb = init_embeddings(schema_of(2), vocab_of([3, 3]), 1, seed=1)
+        tables = init_embeddings(schema_of(2), vocab_of([3, 3]), 1, seed=1)
+        emb = EmbeddingTable(("f0", "f1"), [3, 3],
+                             Tensor(np.concatenate(list(tables.values()))))
         out = lookup(Graph(), emb, batch_of([[1, 2]]))
         assert out.shape == (1, 2, 1)
 

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from mmbattn.attention import MMBAttnConfig, param_count
+from mmbattn.attention import ABLATION_ROWS, MMBAttnConfig, param_count
 from mmbattn.autograd import Graph, stable_sigmoid
 from mmbattn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from mmbattn.data import CATEGORICAL, Batch, FieldSchema, SynthSpec, Vocabulary, synth_generate
@@ -133,38 +134,43 @@ class TestBuild:
             assert model.registry["tower.0.weight"].shape == (6, 5)
 
 
-class TestParameterStore:
-    @staticmethod
-    def assert_views(model):
-        """Each registry tensor's data and grad sit at its registry offset."""
-        start = 0
-        for name, t in model.registry.items():
-            for arr, store in ((t.data, model.params), (t.grad, model.grads)):
-                assert np.shares_memory(arr, store), name
-                assert arr.ctypes.data == store.ctypes.data + 8 * start, name
-            start += t.size
-        assert start == model.params.size == model.grads.size
+def assert_layout(model):
+    """``model.layout`` tiles ``params`` in registry order, and each registry
+    tensor's data and grad sit at its layout offset."""
+    assert [name for name, _, _ in model.layout] == list(model.registry)
+    end = 0
+    for name, shape, offset in model.layout:
+        assert offset == end, name
+        t = model.registry[name]
+        assert t.shape == shape, name
+        for arr, store in ((t.data, model.params), (t.grad, model.grads)):
+            assert np.shares_memory(arr, store), name
+            assert arr.ctypes.data == store.ctypes.data + 8 * offset, name
+        end = offset + math.prod(shape)
+    assert end == model.params.size == model.grads.size
 
+
+class TestParameterStore:
     def test_registry_views_survive_train_restore_and_checkpoint(self, tmp_path):
         spec = SynthSpec(n_rows=600, cardinalities=(3, 4, 5), informative=(0,),
                          weight_scale=4.0, seed=2)
         tr, va, te, _ = synth_generate(spec)
         model = build(spec.schema(), spec.vocabulary(), 2,
                       MMBAttnConfig(reduction_ratio=2), TowerConfig((4,)), seed=3)
-        self.assert_views(model)
+        assert_layout(model)
         before = model.snapshot()
         train(model, tr, va, te, TrainConfig(batch_size=64, max_epochs=1), run_seed=1)
         assert not np.array_equal(before, model.params)
-        self.assert_views(model)
+        assert_layout(model)
         model.restore(before)
         assert np.array_equal(model.params, before)
-        self.assert_views(model)
+        assert_layout(model)
         path = tmp_path / "m.mmbc"
         save_checkpoint(path, model.registry, bytes(32))
         model.params[...] = 0.0
         restore_model(model, load_checkpoint(path))
         assert np.array_equal(model.params, before)
-        self.assert_views(model)
+        assert_layout(model)
 
     def test_stacked_table_rows_are_field_views(self):
         model = build(schema_of(2), vocab_of([3, 5]), 2, None, TowerConfig((4,)), seed=1)
@@ -173,6 +179,40 @@ class TestParameterStore:
         assert np.array_equal(table[:3], model.registry["embed.f0"].data)
         assert np.array_equal(table[3:], model.registry["embed.f1"].data)
         assert np.shares_memory(table, model.params[:16])
+
+
+# SHA-256 of the initial parameter vector of a 3-field model (vocab sizes
+# 4, 3, 5; d 2; R 2; tower 4, 3; seed 7) under each ablation row.
+INIT_SHA256 = {
+    "base": "c33cc6e12ab5f4045df68d84cb627247f1bb7708f243c41d9d5a99a2edc42abe",
+    "mean": "017868e532480d8f58b2e8941f71d6c44b39081f4a08d91893c22960c95032c4",
+    "max": "8891a71a53d87a5ea9d4600fb2ad7c3e50d99f9b13b0c43292877ca567f539be",
+    "bitwise": "e07ae94b6036163639da22aed8177705f598ad528d43e79a7965c973e34b3179",
+    "max_mean": "2c217d514940a31907d4821eb456e0213e6241195fcdd5f5862e8388ff98cd11",
+    "max_mean_bitwise": "acbecab5b02925530735e15ca203e316f05f47f89b2698cff4902fb921f50898",
+}
+
+
+def build_row(toggles):
+    use_max, use_mean, use_bit = toggles
+    attn = MMBAttnConfig(use_max=use_max, use_mean=use_mean, use_bitwise=use_bit,
+                         reduction_ratio=2)
+    return build(schema_of(3), vocab_of([4, 3, 5]), 2, attn, TowerConfig((4, 3)), seed=7)
+
+
+@pytest.mark.parametrize("slug, toggles", [(slug, t) for _, slug, t in ABLATION_ROWS],
+                         ids=[slug for _, slug, _ in ABLATION_ROWS])
+class TestLayout:
+    def test_initial_parameters_are_pinned(self, slug, toggles):
+        model = build_row(toggles)
+        assert hashlib.sha256(model.params.tobytes()).hexdigest() == INIT_SHA256[slug]
+
+    def test_layout_tiles_params_and_places_every_view(self, slug, toggles, tmp_path):
+        model = build_row(toggles)
+        assert_layout(model)
+        path = tmp_path / "m.mmbc"
+        save_checkpoint(path, model.registry, bytes(32))
+        assert load_checkpoint(path).entries == list(model.layout)
 
 
 class TestEndToEndGradcheck:
