@@ -43,14 +43,6 @@ class MMBAttnConfig:
             raise ConfigError(f"combine_mode must be 'residual_product', "
                               f"got {self.combine_mode!r}")
 
-    @property
-    def enabled(self) -> bool:
-        return self.use_max or self.use_mean or self.use_bitwise
-
-    @property
-    def uses_pooling(self) -> bool:
-        return self.use_max or self.use_mean
-
 
 # The six component combinations of the paper's ablation table, which are
 # every configuration of the module: display name, slug, and the
@@ -119,68 +111,45 @@ def branch_attention(g: Graph, s: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1)), w2))
 
 
-def mm_combine(g: Graph, w_max: Tensor | None, w_mean: Tensor | None) -> Tensor:
-    """Sum of the enabled pooled-attention branches."""
-    if w_max is None and w_mean is None:
-        raise ContractError("mm_combine needs at least one branch output")
-    if w_max is not None and w_mean is not None:
-        return g.add(w_max, w_mean)
-    return w_max if w_max is not None else w_mean
-
-
-def mm_reweight(g: Graph, e: Tensor, w_mm: Tensor) -> Tensor:
-    """Scale each field's d embedding positions by its per-field weight."""
-    b, f, _ = e.shape
-    return g.mul(e, g.reshape(w_mm, (b, f, 1)))
-
-
 def bitwise_attention(g: Graph, e_flat: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """One weight per flattened embedding position: (B,F·d) -> (B,F·d)."""
     return g.sigmoid(g.matmul(g.relu(g.matmul(e_flat, w1)), w2))
 
 
-def apply_attention(g: Graph, e: Tensor, params: AttnParams | None,
-                    config: MMBAttnConfig | None,
-                    collect: dict | None = None) -> Tensor:
+def apply_attention(g: Graph, e: Tensor, params: AttnParams,
+                    config: MMBAttnConfig, collect: dict | None = None) -> Tensor:
     """Run the full module: (B,F,d) embeddings -> (B,F·d) re-weighted.
 
-    With every component toggled off the module is the identity on the
+    ``W^MM``, the sum of the enabled pooled branches, scales each field's d
+    positions.  With every component off the module is the identity on the
     flattened embedding, exactly.  ``collect``, when given, receives the
-    intermediate weight tensors under keys w_max/w_mean/w_mm/w_bit.
+    weight tensors under keys w_max/w_mean/w_mm/w_bit (None when off).
     """
     b, f, d = e.shape
     flat_shape = (b, f * d)
-    if config is None or not config.enabled:
-        return g.reshape(e, flat_shape)
-    if params is None:
-        raise ContractError("attention enabled but no parameters supplied")
-
     w_max = w_mean = w_mm = w_bit = None
     if config.use_max:
-        w_max = branch_attention(g, pool(g, e, "max"), params.max_w1, params.max_w2)
+        w_max = w_mm = branch_attention(g, pool(g, e, "max"), params.max_w1, params.max_w2)
     if config.use_mean:
         w_mean = branch_attention(g, pool(g, e, "mean"), params.mean_w1, params.mean_w2)
-    if config.uses_pooling:
-        w_mm = mm_combine(g, w_max, w_mean)
+        w_mm = w_mean if w_max is None else g.add(w_max, w_mean)
     if config.use_bitwise:
         w_bit = bitwise_attention(g, g.reshape(e, flat_shape),
                                   params.bit_w1, params.bit_w2)
     if collect is not None:
         collect.update(w_max=w_max, w_mean=w_mean, w_mm=w_mm, w_bit=w_bit)
 
+    f_mm = e if w_mm is None else g.mul(e, g.reshape(w_mm, (b, f, 1)))
+    x = g.reshape(f_mm, flat_shape)
     if w_bit is None:
-        return g.reshape(mm_reweight(g, e, w_mm), flat_shape)
+        return x
     if w_mm is None:
-        return g.mul(g.reshape(e, flat_shape), w_bit)
-
-    f_mm = g.reshape(mm_reweight(g, e, w_mm), flat_shape)
-    return g.add(f_mm, g.mul(f_mm, w_bit))
+        return g.mul(x, w_bit)
+    return g.add(x, g.mul(x, w_bit))
 
 
-def param_count(config: MMBAttnConfig | None, n_fields: int, d: int) -> int:
+def param_count(config: MMBAttnConfig, n_fields: int, d: int) -> int:
     """Closed-form weight count of the enabled branches."""
-    if config is None or not config.enabled:
-        return 0
     total = 0
     h_field = hidden_width(n_fields, config.reduction_ratio)
     if config.use_max:

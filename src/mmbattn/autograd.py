@@ -11,9 +11,10 @@ second operand may broadcast to the first, through trailing alignment or
 explicit length-1 axes.  The first operand fixes the output shape, so the
 backward reduction logic stays small and auditable.
 
-Gradient ownership: a backward rule hands an array it just made to its
-input instead of copying it, and elementwise rules overwrite the upstream
-gradient, which no one reads once its node has run.  So after ``backward``
+Gradient ownership: ``accumulate_grad`` keeps the array it is given, so a
+backward rule hands over an array it just made, or a copy of one it still
+reads.  Elementwise rules overwrite the upstream gradient, which no one
+reads once its node has run.  So after ``backward``
 a non-leaf tensor's ``.grad`` is scratch, while leaf and parameter
 gradients are exact; and a graph runs ``backward`` at most once.
 """
@@ -57,15 +58,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``; gradients from multiple consumers sum.
 
-    With ``owned`` the caller gives ``g`` away: a float64 array that nothing
-    else reads or writes, which becomes ``t.grad`` without a copy.
+    The first ``g`` becomes ``t.grad`` without a copy, so a caller that
+    still reads or writes ``g`` passes a copy.
     """
     if t.grad is None:
-        # asarray: a full reduction to shape () returns a numpy scalar
-        t.grad = np.asarray(g) if owned else np.array(g, dtype=np.float64)
+        t.grad = np.asarray(g)  # a full reduction to shape () returns a numpy scalar
     else:
         t.grad += g
 
@@ -166,9 +166,9 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, g @ b.data.T, owned=True)
+                accumulate_grad(a, g @ b.data.T)
             if b.requires_grad:
-                accumulate_grad(b, a.data.T @ g, owned=True)
+                accumulate_grad(b, a.data.T @ g)
 
         return self._result(a.data @ b.data, (a, b), backward)
 
@@ -179,9 +179,9 @@ class Graph:
             if b.requires_grad:
                 gb = _reduce_to(g, b.shape)
                 # a takes g itself below, so b needs its own copy of it
-                accumulate_grad(b, gb, owned=gb is not g or not a.requires_grad)
+                accumulate_grad(b, gb.copy() if gb is g and a.requires_grad else gb)
             if a.requires_grad:
-                accumulate_grad(a, g, owned=True)
+                accumulate_grad(a, g)
 
         return self._result(a.data + b.data, (a, b), backward)
 
@@ -190,10 +190,10 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if b.requires_grad:
-                accumulate_grad(b, _reduce_to(g * a.data, b.shape), owned=True)
+                accumulate_grad(b, _reduce_to(g * a.data, b.shape))
             if a.requires_grad:
                 g *= b.data
-                accumulate_grad(a, g, owned=True)
+                accumulate_grad(a, g)
 
         return self._result(a.data * b.data, (a, b), backward)
 
@@ -207,7 +207,7 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, np.broadcast_to(np.expand_dims(g / d, axis), a.shape))
+                accumulate_grad(a, np.repeat(np.expand_dims(g / d, axis), d, axis))
 
         return self._result(a.data.mean(axis=axis), (a,), backward)
 
@@ -221,7 +221,7 @@ class Graph:
                 full = np.zeros_like(a.data)
                 np.put_along_axis(full, np.expand_dims(idx, axis),
                                   np.expand_dims(g, axis), axis)
-                accumulate_grad(a, full, owned=True)
+                accumulate_grad(a, full)
 
         return self._result(a.data.max(axis=axis), (a,), backward)
 
@@ -229,7 +229,7 @@ class Graph:
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
                 np.multiply(g, a.data > 0, out=g)  # relu'(0) = 0
-                accumulate_grad(a, g, owned=True)
+                accumulate_grad(a, g)
 
         return self._result(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -240,7 +240,7 @@ class Graph:
             if a.requires_grad:
                 g *= out_data
                 g *= 1.0 - out_data
-                accumulate_grad(a, g, owned=True)
+                accumulate_grad(a, g)
 
         return self._result(out_data, (a,), backward)
 
@@ -251,6 +251,6 @@ class Graph:
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
-                accumulate_grad(a, g.reshape(a.shape), owned=True)
+                accumulate_grad(a, g.reshape(a.shape))
 
         return self._result(a.data.reshape(new_shape), (a,), backward)

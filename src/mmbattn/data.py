@@ -17,7 +17,8 @@ import numpy as np
 
 from .autograd import stable_sigmoid
 from .checkpoint import write_atomic
-from .errors import ContractError, DataError, RowError, SchemaError, SynthSpecError
+from .errors import (ContractError, DataError, MMBAttnError, RowError, SchemaError,
+                     SynthSpecError)
 from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
@@ -173,7 +174,8 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
 
 @contextmanager
 def lines_of(path, delimiter: str, picks: np.ndarray | None = None):
-    """Re-raise a :class:`RowError` naming ``path`` and the row's file line.
+    """Re-raise a :class:`RowError` naming ``path`` and the row's file line,
+    and any other package error with ``path`` in front.
 
     The error's row indexes the rows ``read_table(path)`` returned or, with
     ``picks``, the selection ``[rows[i] for i in picks]`` of them.  The
@@ -194,6 +196,8 @@ def lines_of(path, delimiter: str, picks: np.ndarray | None = None):
                     row -= 1
                 start = reader.line_num + 1
         raise DataError(f"{path}: changed while it was read") from None
+    except MMBAttnError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,

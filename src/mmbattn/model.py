@@ -36,11 +36,11 @@ class Model:
     tuple of ``(name, shape, offset)`` in registry order, offsets counted
     in elements of ``params``.  Registry tensors view ``params`` and
     ``grads`` at their layout offsets; the stacked embedding table views
-    the ``embed.*`` span.
+    the ``embed.*`` span.  With every attention component off (an
+    all-false ``MMBAttnConfig``) every ``attn_params`` attribute is None.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray],
-                 attn_config: MMBAttnConfig | None):
+    def __init__(self, arrays: dict[str, np.ndarray], attn_config: MMBAttnConfig):
         self.attn_config = attn_config
         self.params = np.concatenate([a.ravel() for a in arrays.values()])
         self.grads = np.zeros_like(self.params)
@@ -65,7 +65,7 @@ class Model:
         table = Tensor(self.params[:span].reshape(sum(sizes), -1), requires_grad=True)
         table.grad = self.grads[:span].reshape(table.shape)
         self.embedding = EmbeddingTable(tuple(embed), sizes, table)
-        self.attn_params = None if attn_config is None else AttnParams(
+        self.attn_params = AttnParams(
             **{part.replace(".", "_"): t for part, t in group("attn.").items()})
         tower = list(group("tower.").values())
         self.tower = list(zip(tower[::2], tower[1::2]))
@@ -92,7 +92,7 @@ class Model:
 
     def field_weights(self, batch: Batch) -> np.ndarray | None:
         """Per-field combined attention weights W^MM, or None if no pooled branch."""
-        if self.attn_config is None or not self.attn_config.uses_pooling:
+        if not (self.attn_config.use_max or self.attn_config.use_mean):
             return None
         collect: dict = {}
         self.forward_logits(Graph(record=False), batch, collect)
@@ -100,17 +100,17 @@ class Model:
 
 
 def build(schema: FieldSchema, vocab: Vocabulary, d: int,
-          attn_config: MMBAttnConfig | None, tower_config: TowerConfig,
+          attn_config: MMBAttnConfig, tower_config: TowerConfig,
           seed: int) -> Model:
-    """Deterministic model construction with a documented registry order."""
+    """Deterministic model construction with a documented registry order.
+
+    Attention off is ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``."""
     arrays = init_embeddings(schema, vocab, d, seed)
-    cfg = attn_config if (attn_config is not None and attn_config.enabled) else None
-    if cfg is not None:
-        arrays.update(init_attn_params(cfg, schema.n_fields, d, seed))
+    arrays.update(init_attn_params(attn_config, schema.n_fields, d, seed))
     widths = [schema.n_fields * d, *tower_config.hidden_sizes, 1]
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         rng = np.random.default_rng(derive_seed(seed, f"init:tower.{i}.weight"))
         arrays[f"tower.{i}.weight"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
                                                  size=(fan_in, fan_out))
         arrays[f"tower.{i}.bias"] = np.zeros(fan_out)
-    return Model(arrays, cfg)
+    return Model(arrays, attn_config)

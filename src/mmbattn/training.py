@@ -59,9 +59,10 @@ def _logits_bce_value(z: np.ndarray, y: np.ndarray) -> float:
 
 
 def bce_with_logits(g: Graph, logits: Tensor, labels) -> Tensor:
-    """Mean BCE straight from logits; gradient w.r.t. each logit is (ŷ−y)/N."""
+    """Mean BCE straight from logits; gradient w.r.t. each logit is (ŷ−y)/N.
+
+    ``labels`` must be 0 or 1; a :class:`Batch` checked them when it was built."""
     y = np.asarray(labels, dtype=np.float64)
-    _check_labels(y)
     if logits.data.shape != y.shape:
         raise ContractError(f"logits shape {logits.shape} != labels shape {y.shape}")
     if y.size == 0:
@@ -71,7 +72,7 @@ def bce_with_logits(g: Graph, logits: Tensor, labels) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if logits.requires_grad:
-            accumulate_grad(logits, grad * (stable_sigmoid(z) - y) / n, owned=True)
+            accumulate_grad(logits, grad * (stable_sigmoid(z) - y) / n)
 
     return g.record_op(np.float64(_logits_bce_value(z, y)), (logits,), backward)
 
@@ -205,8 +206,10 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     and a final record with split "test".  Aborts naming the batch if the
     loss goes non-finite, or the split if a logit does.  Training steps
     with small GEMMs run on one BLAS thread; evaluation keeps the
-    library's default count.
+    library's default count.  An empty train split raises ContractError.
     """
+    if train_data.n == 0:
+        raise ContractError("cannot train on an empty dataset")
     emit = emit or (lambda record: None)
     shuffle_seed = derive_seed(run_seed, "shuffle")
     params, grads = {"params": model.params}, {"params": model.grads}

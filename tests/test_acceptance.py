@@ -110,13 +110,13 @@ class TestZeroInitFixedPoints:
 
 class TestIdentityAblation:
     def test_all_toggles_off_is_identity(self, report):
-        from mmbattn.attention import apply_attention
+        from mmbattn.attention import AttnParams, apply_attention
         rng = np.random.default_rng(7)
         cfg = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
         ok = True
         for _ in range(20):
             e = rng.normal(size=(4, 5, 3))
-            out = apply_attention(Graph(), Tensor(e), None, cfg)
+            out = apply_attention(Graph(), Tensor(e), AttnParams(), cfg)
             if out.data.tobytes() != e.reshape(4, 15).tobytes():
                 ok = False
                 break

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mmbattn import attention
 from mmbattn.attention import (AttnParams, MMBAttnConfig, apply_attention,
                                bitwise_attention, branch_attention, hidden_width,
-                               init_attn_params, mm_combine, mm_reweight,
-                               param_count, pool)
+                               init_attn_params, param_count, pool)
 from mmbattn.autograd import Graph, Tensor
 from mmbattn.data import CATEGORICAL, FieldSchema, Vocabulary
 from mmbattn.errors import ConfigError
@@ -36,6 +36,21 @@ def attn_params(config, n_fields, d, seed):
     arrays = init_attn_params(config, n_fields, d, seed)
     return AttnParams(**{name[len("attn."):].replace(".", "_"): Tensor(a, requires_grad=True)
                          for name, a in arrays.items()})
+
+
+def injected(monkeypatch, e, w_mm=None, w_bit=None):
+    """``apply_attention``'s output when the max branch returns ``w_mm`` and
+    the bit-wise branch ``w_bit``, values no sigmoid can reach; a branch
+    given None is off, and so is the mean branch."""
+    if w_mm is not None:
+        monkeypatch.setattr(attention, "branch_attention",
+                            lambda g, s, w1, w2: Tensor(w_mm))
+    if w_bit is not None:
+        monkeypatch.setattr(attention, "bitwise_attention",
+                            lambda g, x, w1, w2: Tensor(w_bit))
+    cfg = MMBAttnConfig(use_max=w_mm is not None, use_mean=False,
+                        use_bitwise=w_bit is not None)
+    return apply_attention(Graph(), Tensor(e), AttnParams(), cfg).data
 
 
 class TestPool:
@@ -86,57 +101,63 @@ class TestBranchAttention:
 
 
 class TestCombine:
+    """W^MM is the sum of the enabled pooled branches, read through ``collect``."""
+
+    def collect(self, cfg, params, seed=2):
+        e = np.random.default_rng(seed).normal(size=(4, 5, 3))
+        out = {}
+        apply_attention(Graph(), Tensor(e), params, cfg, out)
+        return out
+
     def test_zero_init_sum_is_one(self):
-        cfg = MMBAttnConfig(reduction_ratio=1)
-        p = zero_params(2, 2, cfg)
-        g = Graph()
-        s = Tensor(np.ones((3, 2)))
-        w_max = branch_attention(g, s, p.max_w1, p.max_w2)
-        w_mean = branch_attention(g, s, p.mean_w1, p.mean_w2)
-        out = mm_combine(g, w_max, w_mean)
-        assert np.array_equal(out.data, np.ones((3, 2)))
+        cfg = MMBAttnConfig(use_bitwise=False, reduction_ratio=1)
+        w = self.collect(cfg, zero_params(5, 3, cfg))
+        assert np.array_equal(w["w_mm"].data, np.ones((4, 5)))
 
     def test_single_branch_passthrough(self):
-        g = Graph()
-        w_max = Tensor([[0.7, 0.2]])
-        assert mm_combine(g, w_max, None) is w_max
-        assert mm_combine(g, None, w_max) is w_max
+        for use_max in (True, False):
+            cfg = MMBAttnConfig(use_max=use_max, use_mean=not use_max,
+                                use_bitwise=False, reduction_ratio=2)
+            w = self.collect(cfg, attn_params(cfg, 5, 3, seed=1))
+            assert w["w_mm"] is (w["w_max"] if use_max else w["w_mean"])
 
     def test_sum_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.random((4, 5)), rng.random((4, 5))
-        out = mm_combine(Graph(), Tensor(a), Tensor(b))
-        assert np.array_equal(out.data, a + b)
+        cfg = MMBAttnConfig(reduction_ratio=2)
+        w = self.collect(cfg, attn_params(cfg, 5, 3, seed=1))
+        assert np.array_equal(w["w_mm"].data, w["w_max"].data + w["w_mean"].data)
 
 
 class TestReweight:
-    def test_identity_weights(self):
+    """Each field's weight scales its d embedding positions."""
+
+    def test_identity_weights(self, monkeypatch):
         rng = np.random.default_rng(3)
         e = rng.normal(size=(2, 3, 4))
-        out = mm_reweight(Graph(), Tensor(e), Tensor(np.ones((2, 3))))
-        assert np.array_equal(out.data, e)
+        out = injected(monkeypatch, e, w_mm=np.ones((2, 3)))
+        assert np.array_equal(out, e.reshape(2, 12))
 
-    def test_zero_weight_zeroes_exactly_that_field(self):
+    def test_zero_weight_zeroes_exactly_that_field(self, monkeypatch):
         e = np.ones((1, 3, 2))
-        w = np.array([[1.0, 0.0, 1.0]])
-        out = mm_reweight(Graph(), Tensor(e), Tensor(w)).data
+        out = injected(monkeypatch, e, w_mm=np.array([[1.0, 0.0, 1.0]])).reshape(1, 3, 2)
         assert np.all(out[0, 1] == 0.0)
         assert np.all(out[0, [0, 2]] == 1.0)
 
     def test_matches_repeat_oracle(self):
         rng = np.random.default_rng(4)
         e = rng.normal(size=(3, 4, 5))
-        w = rng.random((3, 4))
-        out = mm_reweight(Graph(), Tensor(e), Tensor(w)).data
-        oracle = e * np.repeat(w[:, :, None], 5, axis=2)
-        assert np.array_equal(out, oracle)
+        cfg = MMBAttnConfig(use_bitwise=False, reduction_ratio=2)
+        collect = {}
+        out = apply_attention(Graph(), Tensor(e), attn_params(cfg, 4, 5, seed=1),
+                              cfg, collect).data
+        oracle = e * np.repeat(collect["w_mm"].data[:, :, None], 5, axis=2)
+        assert np.array_equal(out, oracle.reshape(3, 20))
 
-    def test_monotone_gating_linearity(self):
+    def test_monotone_gating_linearity(self, monkeypatch):
         rng = np.random.default_rng(5)
         e = rng.normal(size=(2, 3, 4))
         w = rng.random((2, 3))
-        one = mm_reweight(Graph(), Tensor(e), Tensor(w)).data
-        scaled = mm_reweight(Graph(), Tensor(e), Tensor(2.5 * w)).data
+        one = injected(monkeypatch, e, w_mm=w)
+        scaled = injected(monkeypatch, e, w_mm=2.5 * w)
         assert np.allclose(scaled, 2.5 * one)
 
 
@@ -181,31 +202,23 @@ class TestApply:
     def test_identity_when_all_disabled(self):
         e = self.rand_e()
         cfg = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
-        out = apply_attention(Graph(), Tensor(e), None, cfg)
-        flat = e.reshape(3, 6)
-        assert out.data.tolist() == flat.tolist()  # bit-identical
-        out2 = apply_attention(Graph(), Tensor(e), None, None)
-        assert np.array_equal(out2.data, flat)
+        collect = {}
+        out = apply_attention(Graph(), Tensor(e), AttnParams(), cfg, collect)
+        assert out.data.tolist() == e.reshape(3, 6).tolist()  # bit-identical
+        assert all(w is None for w in collect.values())
 
-    def test_residual_identity_when_bit_weights_forced_zero(self):
+    def test_residual_identity_when_bit_weights_forced_zero(self, monkeypatch):
         # w_b == 0 is unreachable through a sigmoid; inject it directly:
         # residual_product gives F^MMB = F^MM exactly
         e = self.rand_e()
-        g = Graph()
-        w_mm = Tensor(np.full((3, 3), 1.3))
-        f_mm = g.reshape(mm_reweight(g, Tensor(e), w_mm), (3, 6))
-        w_b = Tensor(np.zeros((3, 6)))
-        f_b = g.mul(f_mm, w_b)
-        out = g.add(f_mm, f_b)
-        assert np.array_equal(out.data, f_mm.data)
+        out = injected(monkeypatch, e, w_mm=np.full((3, 3), 1.3), w_bit=np.zeros((3, 6)))
+        assert np.array_equal(out, (e * 1.3).reshape(3, 6))
 
-    def test_all_weights_one_doubles_embedding(self):
+    def test_all_weights_one_doubles_embedding(self, monkeypatch):
         # forced w_mm = 1 and w_b = 1: residual_product gives 2 * flatten(e)
         e = self.rand_e()
-        g = Graph()
-        f_mm = g.reshape(mm_reweight(g, Tensor(e), Tensor(np.ones((3, 3)))), (3, 6))
-        out = g.add(f_mm, g.mul(f_mm, Tensor(np.ones((3, 6)))))
-        assert np.allclose(out.data, 2.0 * e.reshape(3, 6))
+        out = injected(monkeypatch, e, w_mm=np.ones((3, 3)), w_bit=np.ones((3, 6)))
+        assert np.allclose(out, 2.0 * e.reshape(3, 6))
 
     def test_zero_init_fixed_points(self):
         e = self.rand_e()

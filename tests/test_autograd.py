@@ -6,6 +6,7 @@ import pytest
 
 from mmbattn.autograd import Graph, Tensor, stable_sigmoid
 from mmbattn.errors import ContractError, DimensionError
+from mmbattn.training import bce_with_logits
 
 
 def fd_grad(fn, x, h=1e-5):
@@ -309,14 +310,51 @@ class TestProperties:
             g.reshape(a, (4, 2))
 
 
+# Each op with the inputs whose gradient its backward hands over.
+HANDOVER_CASES = {
+    "matmul": (((3, 4), (4, 2)), lambda g, a, b: g.matmul(a, b)),
+    "add": (((3, 4), (3, 4)), lambda g, a, b: g.add(a, b)),
+    "add_broadcast": (((3, 4), (1, 4)), lambda g, a, b: g.add(a, b)),
+    "mul": (((3, 4), (3, 4)), lambda g, a, b: g.mul(a, b)),
+    "mul_broadcast": (((3, 4), (4,)), lambda g, a, b: g.mul(a, b)),
+    "reduce_mean": (((3, 4),), lambda g, a: g.reduce_mean(a, 0)),
+    "reduce_max": (((3, 4),), lambda g, a: g.reduce_max(a, 1)),
+    "relu": (((3, 4),), lambda g, a: g.relu(a)),
+    "sigmoid": (((3, 4),), lambda g, a: g.sigmoid(a)),
+    "reshape": (((3, 4),), lambda g, a: g.reshape(a, (2, 6))),
+    "bce_with_logits": (((6,),), lambda g, a: bce_with_logits(
+        g, a, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0]))),
+}
+
+
 class TestOwnership:
-    """Backward hands fresh arrays over and overwrites upstream gradients."""
+    """``accumulate_grad`` keeps the array it is given, so every backward
+    rule hands over an array nothing else reads or writes."""
+
+    @pytest.mark.parametrize("name", HANDOVER_CASES)
+    def test_relu_output_input_matches_finite_differences(self, name):
+        # relu's backward masks its gradient in place, so a read-only or
+        # shared gradient handed to a relu output breaks the match
+        shapes, op = HANDOVER_CASES[name]
+        rng = np.random.default_rng(17)
+        leaves = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+        def forward(g):  # the loss head's backward hands over fresh arrays only
+            out = op(g, *(g.relu(t) for t in leaves))
+            return bce_with_logits(g, g.reshape(out, (out.size,)), np.arange(out.size) % 2)
+
+        g = Graph()
+        g.backward(forward(g))
+        for t in leaves:
+            want = fd_grad(lambda: float(forward(Graph(record=False)).data), t.data)
+            assert rel_err(t.grad, want) < 1e-6
 
     def test_add_gives_each_leaf_its_own_gradient(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         y = Tensor(np.ones((3, 2)), requires_grad=True)
         g = Graph()
         g.backward(g.reduce_mean(g.reduce_mean(g.add(x, y), 1), 0))
+        assert x.grad is not y.grad
         assert not np.shares_memory(x.grad, y.grad)
         assert np.array_equal(x.grad, np.full((3, 2), 1 / 6))
         x.grad += 1.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmbattn import blas, cli, training
+from mmbattn.attention import MMBAttnConfig
 from mmbattn.data import SynthSpec, synth_generate
 from mmbattn.errors import TrainingError
 from mmbattn.model import TowerConfig, build
@@ -11,6 +12,7 @@ from mmbattn.training import TrainConfig, train
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LIB = blas._openblas()
+ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
 needs_openblas = pytest.mark.skipif(LIB is None, reason="numpy is not linked to OpenBLAS")
 
 
@@ -43,7 +45,7 @@ def small_run(hidden=(16,), rows=1200):
     spec = SynthSpec(n_rows=rows, cardinalities=(2, 4, 4), informative=(0,),
                      weight_scale=10.0, seed=7)
     tr, va, te, _ = synth_generate(spec)
-    model = build(spec.schema(), spec.vocabulary(), 4, None, TowerConfig(hidden), seed=1)
+    model = build(spec.schema(), spec.vocabulary(), 4, ATTN_OFF, TowerConfig(hidden), seed=1)
     return model, (tr, va, te), TrainConfig(batch_size=128, max_epochs=1)
 
 

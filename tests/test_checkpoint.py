@@ -12,8 +12,10 @@ from mmbattn.data import CATEGORICAL, FieldSchema, Vocabulary
 from mmbattn.errors import CheckpointError, MMBAttnError
 from mmbattn.model import TowerConfig, build
 
+ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
 
-def make_model(attn=None, seed=1):
+
+def make_model(attn=ATTN_OFF, seed=1):
     schema = FieldSchema(fields=(("a", CATEGORICAL), ("b", CATEGORICAL)),
                          label_column="y")
     vocab = Vocabulary([{"x": 1, "y": 2}] * 2, [None, None])
@@ -131,7 +133,7 @@ class TestFuzz:
     @pytest.fixture
     def blob(self, tmp_path):
         schema = FieldSchema(fields=(("a", CATEGORICAL),), label_column="y")
-        model = build(schema, Vocabulary([{"x": 1}], [None]), 2, None,
+        model = build(schema, Vocabulary([{"x": 1}], [None]), 2, ATTN_OFF,
                       TowerConfig(()), seed=1)
         assert list(model.registry) == ["embed.a", "tower.0.weight", "tower.0.bias"]
         registry = {k: model.registry[k] for k in ("tower.0.weight", "tower.0.bias")}

@@ -431,6 +431,15 @@ class TestCsvPipeline:
         swapped = cli.prepare_data(load_run_config(cfg))
         assert swapped.digests() == plain.digests()
 
+    def test_header_missing_a_schema_column_names_file(self, tmp_path, capsys):
+        cfg = self.write_csv_run(tmp_path)
+        valid = tmp_path / "data" / "valid.csv"
+        rows = [line.split(",") for line in valid.read_text().splitlines()]
+        drop = rows[0].index("f2")
+        valid.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {valid}: missing column 'f2' in header\n"
+
     @pytest.mark.parametrize("line", ["schema.min_count = abc", "schema.buckets = 2.5"])
     def test_bad_schema_integer_nonzero_exit(self, tmp_path, capsys, line):
         cfg = self.write_csv_run(tmp_path)

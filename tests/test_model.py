@@ -13,6 +13,8 @@ from mmbattn.gradcheck import check_model, run_gradcheck
 from mmbattn.model import TowerConfig, build
 from mmbattn.training import TrainConfig, train
 
+ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
+
 
 def schema_of(n_fields):
     return FieldSchema(fields=tuple((f"f{i}", CATEGORICAL) for i in range(n_fields)),
@@ -45,13 +47,13 @@ class TestForward:
         assert probs.tolist() == [0.5, 0.5]
 
     def test_output_shape_matches_labels(self):
-        model = build(schema_of(2), vocab_of([3, 3]), 2, None, TowerConfig((4,)), seed=1)
+        model = build(schema_of(2), vocab_of([3, 3]), 2, ATTN_OFF, TowerConfig((4,)), seed=1)
         batch = batch_of([[1, 1], [2, 2], [0, 1]])
         assert predict(model, batch).shape == batch.labels.shape
 
     def test_single_row_pencil_and_paper(self):
         # F=2, d=2, attention off, tower [2]; all weights hand-set.
-        model = build(schema_of(2), vocab_of([3, 3]), 2, None, TowerConfig((2,)), seed=0)
+        model = build(schema_of(2), vocab_of([3, 3]), 2, ATTN_OFF, TowerConfig((2,)), seed=0)
         model.registry["embed.f0"].data[...] = [[0, 0], [0.5, -1.0], [0, 0]]
         model.registry["embed.f1"].data[...] = [[0, 0], [0, 0], [2.0, 0.25]]
         w0 = np.array([[1.0, -0.5], [0.25, 0.5], [-1.0, 0.75], [0.5, 1.0]])
@@ -90,7 +92,7 @@ class TestBuild:
         off = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
         model = build(schema_of(2), vocab_of([4, 4]), 2, off, TowerConfig((4,)), seed=1)
         assert not any(name.startswith("attn.") for name in model.registry)
-        model2 = build(schema_of(2), vocab_of([4, 4]), 2, None, TowerConfig((4,)), seed=1)
+        model2 = build(schema_of(2), vocab_of([4, 4]), 2, ATTN_OFF, TowerConfig((4,)), seed=1)
         assert list(model.registry) == list(model2.registry)
 
     def test_registry_order_documented(self):
@@ -116,19 +118,19 @@ class TestBuild:
     def test_toggling_attention_leaves_other_inits_unchanged(self):
         kwargs = dict(d=2, tower_config=TowerConfig((4,)), seed=11)
         on = build(schema_of(2), vocab_of([4, 4]), attn_config=MMBAttnConfig(), **kwargs)
-        off = build(schema_of(2), vocab_of([4, 4]), attn_config=None, **kwargs)
+        off = build(schema_of(2), vocab_of([4, 4]), attn_config=ATTN_OFF, **kwargs)
         for name in off.registry:
             assert np.array_equal(on.registry[name].data, off.registry[name].data)
 
     def test_invalid_widths_rejected(self):
         with pytest.raises(ConfigError):
-            build(schema_of(2), vocab_of([4, 4]), 0, None, TowerConfig((4,)), seed=1)
+            build(schema_of(2), vocab_of([4, 4]), 0, ATTN_OFF, TowerConfig((4,)), seed=1)
         with pytest.raises(ConfigError):
             TowerConfig((0,))
 
     def test_module_maps_fd_to_fd(self):
         # plug-and-play: tower input width is F*d with or without attention
-        for attn in (None, MMBAttnConfig(reduction_ratio=2)):
+        for attn in (ATTN_OFF, MMBAttnConfig(reduction_ratio=2)):
             model = build(schema_of(3), vocab_of([4] * 3), 2, attn,
                           TowerConfig((5,)), seed=4)
             assert model.registry["tower.0.weight"].shape == (6, 5)
@@ -173,7 +175,7 @@ class TestParameterStore:
         assert_layout(model)
 
     def test_stacked_table_rows_are_field_views(self):
-        model = build(schema_of(2), vocab_of([3, 5]), 2, None, TowerConfig((4,)), seed=1)
+        model = build(schema_of(2), vocab_of([3, 5]), 2, ATTN_OFF, TowerConfig((4,)), seed=1)
         table = model.embedding.table.data
         assert table.shape == (8, 2)
         assert np.array_equal(table[:3], model.registry["embed.f0"].data)

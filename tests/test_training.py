@@ -12,6 +12,8 @@ from mmbattn.model import TowerConfig, build
 from mmbattn.training import (EvalReport, TrainConfig, adam_step, auc, bce_loss,
                               bce_with_logits, evaluate, init_adam_state, train)
 
+ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
+
 
 def pairwise_auc_oracle(scores, labels):
     """O(n^2) all-pairs AUC; ties count one half."""
@@ -157,7 +159,7 @@ class TestEarlyStopping:
         Returns the emitted records, the parameters at each valid scoring
         and the parameters left after training."""
         spec, (tr, va, te, _) = tiny_planted()
-        model = build(spec.schema(), spec.vocabulary(), 4, None,
+        model = build(spec.schema(), spec.vocabulary(), 4, ATTN_OFF,
                       TowerConfig((16,)), seed=1)
         real_evaluate, scripted, params_at = training.evaluate, iter(valid_aucs), []
 
@@ -193,7 +195,7 @@ class TestEarlyStopping:
 
 
 class TestTrainLoop:
-    def build_model(self, spec, seed=1, attn=None):
+    def build_model(self, spec, seed=1, attn=ATTN_OFF):
         return build(spec.schema(), spec.vocabulary(), 4, attn,
                      TowerConfig((16,)), seed=seed)
 
@@ -227,6 +229,13 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=512, max_epochs=1)
         with pytest.raises(TrainingError, match=r"epoch 1, batch 0"):
             train(model, tr, va, te, cfg, run_seed=1)
+
+    def test_empty_train_split_rejected(self):
+        spec, (tr, va, te, _) = tiny_planted()
+        model = self.build_model(spec)
+        with pytest.raises(ContractError, match="empty"):
+            train(model, tr.take(slice(0, 0)), va, te, TrainConfig(max_epochs=1),
+                  run_seed=1)
 
     def test_non_finite_parameters_after_last_step_name_epoch(self):
         # one step per epoch: the step loss stays finite, the update is not
