@@ -107,13 +107,13 @@ def pool(g: Graph, e: Tensor, kind: str) -> Tensor:
 
 
 def branch_attention(g: Graph, s: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """sigmoid(relu(s · W1) · W2): per-field weights, strictly in (0, 1)."""
+    """sigmoid(relu(s · W1) · W2): one weight in (0, 1) per column of ``s``."""
     return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1)), w2))
 
 
-def bitwise_attention(g: Graph, e_flat: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """One weight per flattened embedding position: (B,F·d) -> (B,F·d)."""
-    return g.sigmoid(g.matmul(g.relu(g.matmul(e_flat, w1)), w2))
+# The bit-wise branch, one weight per flattened embedding position: the same
+# MLP under a second module name, so it can be patched and traced alone.
+bitwise_attention = branch_attention
 
 
 def apply_attention(g: Graph, e: Tensor, params: AttnParams,
@@ -127,20 +127,22 @@ def apply_attention(g: Graph, e: Tensor, params: AttnParams,
     """
     b, f, d = e.shape
     flat_shape = (b, f * d)
-    w_max = w_mean = w_mm = w_bit = None
+    w_max = w_mean = w_mm = w_bit = e_flat = None
     if config.use_max:
         w_max = w_mm = branch_attention(g, pool(g, e, "max"), params.max_w1, params.max_w2)
     if config.use_mean:
         w_mean = branch_attention(g, pool(g, e, "mean"), params.mean_w1, params.mean_w2)
         w_mm = w_mean if w_max is None else g.add(w_max, w_mean)
     if config.use_bitwise:
-        w_bit = bitwise_attention(g, g.reshape(e, flat_shape),
-                                  params.bit_w1, params.bit_w2)
+        e_flat = g.reshape(e, flat_shape)
+        w_bit = bitwise_attention(g, e_flat, params.bit_w1, params.bit_w2)
     if collect is not None:
         collect.update(w_max=w_max, w_mean=w_mean, w_mm=w_mm, w_bit=w_bit)
 
-    f_mm = e if w_mm is None else g.mul(e, g.reshape(w_mm, (b, f, 1)))
-    x = g.reshape(f_mm, flat_shape)
+    if w_mm is not None:
+        x = g.reshape(g.mul(e, g.reshape(w_mm, (b, f, 1))), flat_shape)
+    else:  # F^MM is E itself: reuse the bit-wise branch's flattened input
+        x = e_flat if e_flat is not None else g.reshape(e, flat_shape)
     if w_bit is None:
         return x
     if w_mm is None:

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .attention import ABLATION_ROWS
-from .config import RunConfig, load_run_config, load_schema, load_synth_spec, naming
+from .config import RunConfig, load_run_config, load_schema, load_synth_spec
 from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
                    hash_split, lines_of, read_table, synth_generate, synth_write_csv)
-from .errors import ConfigError, DataError, MMBAttnError
+from .errors import ConfigError, DataError, MMBAttnError, naming
 from .gradcheck import run_gradcheck
 from .model import Model, build
 from .seeding import derive_seed
@@ -81,7 +81,7 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
 
 def _build_model(cfg: RunConfig, seed: int, prepared: PreparedData) -> Model:
     return build(prepared.schema, prepared.vocab, cfg.embedding_dim,
-                 cfg.attn_config(), cfg.tower_config(), derive_seed(seed, "model-init"))
+                 cfg.attn, cfg.tower, derive_seed(seed, "model-init"))
 
 
 def run_single(cfg: RunConfig, seed: int, out_dir: Path,
@@ -91,7 +91,7 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
     model = _build_model(cfg, seed, prepared)
     with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         report = train(model, prepared.train, prepared.valid, prepared.test,
-                       cfg.train_config(), run_seed=seed,
+                       cfg.train, run_seed=seed,
                        emit=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
                        eval_threads=eval_thread_count())
     digest = cfg.digest(seed)
@@ -244,8 +244,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck needs a tiny model: embedding_dim at most 3")
     batch = prepared.train.take(slice(0, min(8, prepared.train.n)))
     worst = run_gradcheck(prepared.schema, prepared.vocab, batch,
-                          cfg.embedding_dim, cfg.tower_config(),
-                          cfg.attn_config().reduction_ratio, cfg.seeds[0])
+                          cfg.embedding_dim, cfg.tower,
+                          cfg.attn.reduction_ratio, cfg.seeds[0])
     overall = 0.0
     for name in sorted(worst):
         print(f"{name:<24} max relative error {worst[name]:.3e}")

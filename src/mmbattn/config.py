@@ -10,13 +10,12 @@ never matters.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .attention import MMBAttnConfig
 from .data import CATEGORICAL, NUMERIC, FieldSchema, SynthSpec
-from .errors import ConfigError, MMBAttnError
+from .errors import ConfigError, naming
 from .model import TowerConfig
 from .training import TrainConfig
 
@@ -43,15 +42,6 @@ def parse_kv(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-@contextmanager
-def naming(path):
-    """Prefix errors raised while interpreting a parsed file with its path."""
-    try:
-        yield
-    except MMBAttnError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 # -- typed value parsing ---------------------------------------------------
@@ -111,7 +101,8 @@ def _read_keys(kv: dict[str, str], keys: dict[str, tuple]) -> dict:
     return values
 
 
-# parser, default (None = key absent unless set)
+# parser, default (None = key absent unless set).  A key that feeds a
+# dataclass field takes that field's default.
 _RUN_KEYS: dict[str, tuple] = {
     "run.seeds": (_parse_int_list, (0,)),
     "run.out": (str, None),
@@ -122,15 +113,15 @@ _RUN_KEYS: dict[str, tuple] = {
     "data.file": (str, None),
     "data.synth": (str, None),
     "model.embedding_dim": (int, 10),
-    "model.hidden_sizes": (_parse_int_list, (400, 400, 400)),
-    "attn.use_max": (_parse_bool, True),
-    "attn.use_mean": (_parse_bool, True),
-    "attn.use_bitwise": (_parse_bool, True),
-    "attn.reduction_ratio": (int, 3),
-    "train.learning_rate": (float, 1e-3),
-    "train.batch_size": (int, 4096),
-    "train.max_epochs": (int, 10),
-    "train.patience": (int, 2),
+    "model.hidden_sizes": (_parse_int_list, TowerConfig.hidden_sizes),
+    "attn.use_max": (_parse_bool, MMBAttnConfig.use_max),
+    "attn.use_mean": (_parse_bool, MMBAttnConfig.use_mean),
+    "attn.use_bitwise": (_parse_bool, MMBAttnConfig.use_bitwise),
+    "attn.reduction_ratio": (int, MMBAttnConfig.reduction_ratio),
+    "train.learning_rate": (float, TrainConfig.learning_rate),
+    "train.batch_size": (int, TrainConfig.batch_size),
+    "train.max_epochs": (int, TrainConfig.max_epochs),
+    "train.patience": (int, TrainConfig.patience),
 }
 
 # The data.* keys a run config may set together: one set per data source.
@@ -142,14 +133,17 @@ _DATA_SOURCES = ({"data.synth"}, {"data.file", "data.schema"},
 class RunConfig:
     """A fully resolved run configuration.
 
-    ``resolved`` maps every known key to its canonical string value;
-    digests are taken over that rendering.  Paths stay as written in the
-    file and are resolved against ``base_dir`` when used.
+    ``values`` maps every known key to its parsed value; digests are taken
+    over their canonical rendering.  ``attn``, ``tower`` and ``train`` are
+    the objects built from them.  Paths stay as written in the file and are
+    resolved against ``base_dir`` when used.
     """
 
     values: dict
-    resolved: dict[str, str]
     base_dir: Path
+    attn: MMBAttnConfig
+    tower: TowerConfig
+    train: TrainConfig
 
     # -- typed accessors ------------------------------------------------
 
@@ -165,30 +159,8 @@ class RunConfig:
     def embedding_dim(self) -> int:
         return self.values["model.embedding_dim"]
 
-    def attn_config(self) -> MMBAttnConfig:
-        return MMBAttnConfig(
-            use_max=self.values["attn.use_max"],
-            use_mean=self.values["attn.use_mean"],
-            use_bitwise=self.values["attn.use_bitwise"],
-            reduction_ratio=self.values["attn.reduction_ratio"],
-        )
-
-    def tower_config(self) -> TowerConfig:
-        return TowerConfig(self.values["model.hidden_sizes"])
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.values["train.learning_rate"],
-            batch_size=self.values["train.batch_size"],
-            max_epochs=self.values["train.max_epochs"],
-            patience=self.values["train.patience"],
-        )
-
     def path(self, key: str) -> Path:
-        raw = self.values[key]
-        if raw is None:
-            raise ConfigError(f"config key {key} is not set")
-        p = Path(raw)
+        p = Path(self.values[key])
         return p if p.is_absolute() else self.base_dir / p
 
     # -- canonical form and digests --------------------------------------
@@ -196,7 +168,8 @@ class RunConfig:
     def canonical_lines(self, seeds: tuple[int, ...] | None = None) -> list[str]:
         # run.out is I/O plumbing: it never affects the computation, so it
         # stays out of the canonical form and the digest.
-        rendered = {k: v for k, v in self.resolved.items() if k != "run.out"}
+        rendered = {k: _canon(v) for k, v in self.values.items()
+                    if v is not None and k != "run.out"}
         if seeds is not None:
             rendered["run.seeds"] = _canon(tuple(seeds))
         return [f"{key} = {rendered[key]}" for key in sorted(rendered)]
@@ -208,18 +181,24 @@ class RunConfig:
 
     def override(self, updates: dict[str, str]) -> "RunConfig":
         """A new config with the given raw-string updates applied."""
-        merged = {k: v for k, v in self.resolved.items()}
+        merged = {k: _canon(v) for k, v in self.values.items() if v is not None}
         merged.update(updates)
         return _resolve_run(merged, self.base_dir)
 
 
 def _resolve_run(kv: dict[str, str], base_dir: Path) -> RunConfig:
     values = _read_keys(kv, _RUN_KEYS)
-    resolved = {k: _canon(v) for k, v in values.items() if v is not None}
-    cfg = RunConfig(values=values, resolved=resolved, base_dir=base_dir)
-    cfg.attn_config()
-    cfg.tower_config()
-    cfg.train_config()
+    cfg = RunConfig(
+        values=values, base_dir=base_dir,
+        attn=MMBAttnConfig(use_max=values["attn.use_max"],
+                           use_mean=values["attn.use_mean"],
+                           use_bitwise=values["attn.use_bitwise"],
+                           reduction_ratio=values["attn.reduction_ratio"]),
+        tower=TowerConfig(values["model.hidden_sizes"]),
+        train=TrainConfig(learning_rate=values["train.learning_rate"],
+                          batch_size=values["train.batch_size"],
+                          max_epochs=values["train.max_epochs"],
+                          patience=values["train.patience"]))
     if values["model.embedding_dim"] < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
 
@@ -259,9 +238,9 @@ def load_run_config(path, overrides=(), seeds=None, out=None) -> RunConfig:
 
 _SCHEMA_KEYS: dict[str, tuple] = {
     "schema.label": (str, _REQUIRED),
-    "schema.min_count": (int, 1),
-    "schema.buckets": (int, 10),
-    "schema.delimiter": (_parse_delimiter, ","),
+    "schema.min_count": (int, FieldSchema.min_count),
+    "schema.buckets": (int, FieldSchema.buckets),
+    "schema.delimiter": (_parse_delimiter, FieldSchema.delimiter),
 }
 _KINDS = {"categorical": CATEGORICAL, "numeric": NUMERIC}
 
@@ -292,8 +271,8 @@ _SYNTH_KEYS: dict[str, tuple] = {
     "synth.fields": (int, _REQUIRED),
     "synth.cardinality": (_parse_int_list, (8,)),
     "synth.informative": (_parse_int_list, _REQUIRED),
-    "synth.weight_scale": (float, 2.0),
-    "synth.seed": (int, 0),
+    "synth.weight_scale": (float, SynthSpec.weight_scale),
+    "synth.seed": (int, SynthSpec.seed),
 }
 
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .autograd import stable_sigmoid
 from .checkpoint import write_atomic
-from .errors import (ContractError, DataError, MMBAttnError, RowError, SchemaError,
-                     SynthSpecError)
+from .errors import ContractError, DataError, RowError, SchemaError, SynthSpecError, naming
 from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
@@ -97,7 +96,14 @@ class Vocabulary:
             value = float(raw)
         except ValueError:
             return 0
+        if np.isnan(value):
+            return 0
         return int(np.searchsorted(bounds, value, side="right")) + 1
+
+
+def check_labels(labels: np.ndarray) -> None:
+    if labels.size and not np.isin(labels, (0.0, 1.0)).all():
+        raise ContractError("labels must be 0 or 1")
 
 
 @dataclass
@@ -123,16 +129,11 @@ class Batch:
             raise ContractError("indices must be non-negative")
         if self.labels.shape != (self.indices.shape[0],):
             raise ContractError("labels length must match row count")
-        if self.labels.size and not np.isin(self.labels, (0.0, 1.0)).all():
-            raise ContractError("labels must be binary")
+        check_labels(self.labels)
 
     @property
     def n(self) -> int:
         return self.indices.shape[0]
-
-    @property
-    def n_fields(self) -> int:
-        return self.indices.shape[1]
 
     def take(self, sel) -> "Batch":
         out = copy.copy(self)
@@ -181,23 +182,22 @@ def lines_of(path, delimiter: str, picks: np.ndarray | None = None):
     ``picks``, the selection ``[rows[i] for i in picks]`` of them.  The
     header is line 1; blank lines and quoted line breaks count.
     """
-    try:
-        yield
-    except RowError as exc:
-        row = exc.row if picks is None else int(picks[exc.row])
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            next(reader)
-            start = reader.line_num + 1
-            for record in reader:
-                if record:
-                    if row == 0:
-                        raise DataError(f"{path}: line {start}: {exc.detail}") from None
-                    row -= 1
+    with naming(path):
+        try:
+            yield
+        except RowError as exc:
+            row = exc.row if picks is None else int(picks[exc.row])
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh, delimiter=delimiter)
+                next(reader)
                 start = reader.line_num + 1
-        raise DataError(f"{path}: changed while it was read") from None
-    except MMBAttnError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+                for record in reader:
+                    if record:
+                        if row == 0:
+                            raise DataError(f"line {start}: {exc.detail}") from None
+                        row -= 1
+                    start = reader.line_num + 1
+            raise DataError("changed while it was read") from None
 
 
 def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
@@ -208,6 +208,8 @@ def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
     for name in (*schema.field_names, schema.label_column):
         if name not in header:
             raise SchemaError(f"missing column {name!r} in header")
+        if header.count(name) > 1:
+            raise SchemaError(f"column {name!r} appears more than once in header")
     width = len(header)
     widths = list(map(len, rows))
     if widths.count(width) != len(rows):
@@ -217,7 +219,8 @@ def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
 
 
 def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``float()`` of every cell, plus a mask of the cells that parse."""
+    """``float()`` of every cell, plus a mask of the cells that parse to a
+    number; ``nan`` counts as unparsed."""
     values = np.zeros(len(cells), dtype=np.float64)
     ok = np.ones(len(cells), dtype=bool)
     for i, raw in enumerate(cells):
@@ -225,6 +228,7 @@ def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
             values[i] = float(raw)
         except ValueError:
             ok[i] = False
+    ok &= ~np.isnan(values)
     return values, ok
 
 

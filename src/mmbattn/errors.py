@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class MMBAttnError(Exception):
     """Base class for all errors raised by this package."""
@@ -48,3 +50,12 @@ class CheckpointError(MMBAttnError):
 
 class TrainingError(MMBAttnError):
     """Training aborted, e.g. on a non-finite loss."""
+
+
+@contextmanager
+def naming(path):
+    """Prefix package errors raised inside the block with ``path``."""
+    try:
+        yield
+    except MMBAttnError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

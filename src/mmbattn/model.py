@@ -40,8 +40,8 @@ class Model:
     all-false ``MMBAttnConfig``) every ``attn_params`` attribute is None.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray], attn_config: MMBAttnConfig):
-        self.attn_config = attn_config
+    def __init__(self, arrays: dict[str, np.ndarray], attn: MMBAttnConfig):
+        self.attn = attn
         self.params = np.concatenate([a.ravel() for a in arrays.values()])
         self.grads = np.zeros_like(self.params)
         self.registry: dict[str, Tensor] = {}
@@ -82,7 +82,7 @@ class Model:
     def forward_logits(self, g: Graph, batch: Batch,
                        collect: dict | None = None) -> Tensor:
         e = lookup(g, self.embedding, batch)
-        x = apply_attention(g, e, self.attn_params, self.attn_config, collect)
+        x = apply_attention(g, e, self.attn_params, self.attn, collect)
         last = len(self.tower) - 1
         for i, (w, b) in enumerate(self.tower):
             x = g.add(g.matmul(x, w), b)
@@ -92,7 +92,7 @@ class Model:
 
     def field_weights(self, batch: Batch) -> np.ndarray | None:
         """Per-field combined attention weights W^MM, or None if no pooled branch."""
-        if not (self.attn_config.use_max or self.attn_config.use_mean):
+        if not (self.attn.use_max or self.attn.use_mean):
             return None
         collect: dict = {}
         self.forward_logits(Graph(record=False), batch, collect)
@@ -100,17 +100,16 @@ class Model:
 
 
 def build(schema: FieldSchema, vocab: Vocabulary, d: int,
-          attn_config: MMBAttnConfig, tower_config: TowerConfig,
-          seed: int) -> Model:
+          attn: MMBAttnConfig, tower: TowerConfig, seed: int) -> Model:
     """Deterministic model construction with a documented registry order.
 
     Attention off is ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``."""
     arrays = init_embeddings(schema, vocab, d, seed)
-    arrays.update(init_attn_params(attn_config, schema.n_fields, d, seed))
-    widths = [schema.n_fields * d, *tower_config.hidden_sizes, 1]
+    arrays.update(init_attn_params(attn, schema.n_fields, d, seed))
+    widths = [schema.n_fields * d, *tower.hidden_sizes, 1]
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         rng = np.random.default_rng(derive_seed(seed, f"init:tower.{i}.weight"))
         arrays[f"tower.{i}.weight"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
                                                  size=(fan_in, fan_out))
         arrays[f"tower.{i}.bias"] = np.zeros(fan_out)
-    return Model(arrays, attn_config)
+    return Model(arrays, attn)

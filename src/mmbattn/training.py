@@ -12,7 +12,7 @@ import numpy as np
 
 from .autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
 from .blas import threads_for
-from .data import Batch, batches
+from .data import Batch, batches, check_labels
 from .errors import ConfigError, ContractError, MetricError, TrainingError
 from .model import Model
 from .seeding import derive_seed
@@ -40,16 +40,11 @@ class TrainConfig:
             raise ConfigError("train.patience must be >= 1")
 
 
-def _check_labels(y: np.ndarray) -> None:
-    if y.size and not np.isin(y, (0.0, 1.0)).all():
-        raise ContractError("labels must be 0 or 1")
-
-
 def bce_loss(y_hat, y) -> float:
     """Direct probability-space log loss (the metric / test-oracle form)."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _check_labels(y)
+    check_labels(y)
     return float(-np.mean(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))
 
 
@@ -83,7 +78,7 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if s.ndim != 1 or s.shape != y.shape:
         raise ContractError("scores and labels must be equal-length vectors")
-    _check_labels(y)
+    check_labels(y)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:

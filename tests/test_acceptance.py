@@ -139,7 +139,7 @@ def planted_runs(tmp_path_factory):
         rep = cli.run_single(cfg, seed, run_dir, prepared)
         # the weights are read back from the run's own checkpoint
         model = build(prepared.schema, prepared.vocab, cfg.embedding_dim,
-                      cfg.attn_config(), cfg.tower_config(), seed=0)
+                      cfg.attn, cfg.tower, seed=0)
         restore_model(model, load_checkpoint(run_dir / "checkpoint.mmbc"),
                       expected_digest=cfg.digest(seed))
         weights = np.concatenate(

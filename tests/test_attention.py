@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mmbattn import attention
-from mmbattn.attention import (AttnParams, MMBAttnConfig, apply_attention,
-                               bitwise_attention, branch_attention, hidden_width,
-                               init_attn_params, param_count, pool)
+from mmbattn.attention import (ABLATION_ROWS, AttnParams, MMBAttnConfig,
+                               apply_attention, bitwise_attention, branch_attention,
+                               hidden_width, init_attn_params, param_count, pool)
 from mmbattn.autograd import Graph, Tensor
 from mmbattn.data import CATEGORICAL, FieldSchema, Vocabulary
 from mmbattn.errors import ConfigError
@@ -260,41 +260,57 @@ class TestApply:
         assert np.allclose(out.data, e.reshape(3, 6) * collect["w_bit"].data,
                            atol=1e-15)
 
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(21)
-        cfg = MMBAttnConfig(reduction_ratio=2)
-        params = attn_params(cfg, 3, 2, seed=5)
-        e_data = rng.normal(size=(4, 3, 2))
-        target = rng.normal(size=(4, 6))
-
-        def loss_value():
-            g = Graph(record=False)
-            out = apply_attention(g, Tensor(e_data), params, cfg)
-            diff = g.add(out, Tensor(-target))
-            return float(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0).data)
-
+    # tape nodes one call records; bit-wise alone reuses its flattened input
+    @pytest.mark.parametrize("slug, toggles, nodes", [
+        (slug, toggles, {"base": 1, "mean": 8, "max": 8, "bitwise": 6, "max_mean": 14,
+                         "max_mean_bitwise": 21}[slug])
+        for _, slug, toggles in ABLATION_ROWS])
+    def test_tape_node_count(self, slug, toggles, nodes):
+        cfg = MMBAttnConfig(*toggles, reduction_ratio=2)
         g = Graph()
-        e = Tensor(e_data, requires_grad=True)
-        out = apply_attention(g, e, params, cfg)
-        diff = g.add(out, Tensor(-target))
-        g.backward(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0))
+        apply_attention(g, Tensor(self.rand_e(), requires_grad=True),
+                        attn_params(cfg, 3, 2, seed=1), cfg)
+        assert len(g._nodes) == nodes
 
-        h = 1e-5
-        for name, p in {**vars(params), "e": e}.items():
-            analytic = p.grad
-            numeric = np.zeros_like(p.data)
-            flat, nf = p.data.ravel(), numeric.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = loss_value()
-                flat[i] = orig - h
-                down = loss_value()
-                flat[i] = orig
-                nf[i] = (up - down) / (2 * h)
-            rel = np.abs(analytic - numeric) / np.maximum(
-                np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-            assert rel.max() < 1e-4, f"{name}: {rel.max()}"
+    def test_gradients_match_finite_differences(self):
+        # bit-wise alone: its flattened input also takes the output product's gradient
+        for cfg in (MMBAttnConfig(reduction_ratio=2),
+                    MMBAttnConfig(use_max=False, use_mean=False, reduction_ratio=2)):
+            rng = np.random.default_rng(21)
+            params = attn_params(cfg, 3, 2, seed=5)
+            e_data = rng.normal(size=(4, 3, 2))
+            target = rng.normal(size=(4, 6))
+
+            def loss_value():
+                g = Graph(record=False)
+                out = apply_attention(g, Tensor(e_data), params, cfg)
+                diff = g.add(out, Tensor(-target))
+                return float(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0).data)
+
+            g = Graph()
+            e = Tensor(e_data, requires_grad=True)
+            out = apply_attention(g, e, params, cfg)
+            diff = g.add(out, Tensor(-target))
+            g.backward(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0))
+
+            h = 1e-5
+            for name, p in {**vars(params), "e": e}.items():
+                if p is None:  # a branch that is off
+                    continue
+                analytic = p.grad
+                numeric = np.zeros_like(p.data)
+                flat, nf = p.data.ravel(), numeric.ravel()
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + h
+                    up = loss_value()
+                    flat[i] = orig - h
+                    down = loss_value()
+                    flat[i] = orig
+                    nf[i] = (up - down) / (2 * h)
+                rel = np.abs(analytic - numeric) / np.maximum(
+                    np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+                assert rel.max() < 1e-4, f"{name}: {rel.max()}"
 
     def test_field_permutation_equivariance_full_module(self):
         rng = np.random.default_rng(31)

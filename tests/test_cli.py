@@ -440,6 +440,15 @@ class TestCsvPipeline:
         assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {valid}: missing column 'f2' in header\n"
 
+    def test_header_naming_a_schema_column_twice_names_file(self, tmp_path, capsys):
+        cfg = self.write_csv_run(tmp_path)
+        train = tmp_path / "data" / "train.csv"
+        rows = [line.split(",") for line in train.read_text().splitlines()]
+        train.write_text("".join(",".join([*r, r[1]]) + "\n" for r in rows))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: {train}: column 'f1' appears more "
+                                           f"than once in header\n")
+
     @pytest.mark.parametrize("line", ["schema.min_count = abc", "schema.buckets = 2.5"])
     def test_bad_schema_integer_nonzero_exit(self, tmp_path, capsys, line):
         cfg = self.write_csv_run(tmp_path)

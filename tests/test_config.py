@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from mmbattn.config import (_RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS, load_run_config,
-                            load_schema, load_synth_spec, parse_kv)
+from mmbattn.config import (_REQUIRED, _RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS, _canon,
+                            load_run_config, load_schema, load_synth_spec, parse_kv)
 from mmbattn.errors import ConfigError
 
 TINY = """\
@@ -74,9 +74,9 @@ class TestRunConfig:
         cfg = load_run_config(cfg_dir / "run.conf")
         assert cfg.seeds == (1, 2)
         assert cfg.embedding_dim == 4
-        assert cfg.tower_config().hidden_sizes == (16,)
-        assert cfg.attn_config().reduction_ratio == 3  # default
-        assert cfg.train_config().batch_size == 64
+        assert cfg.tower.hidden_sizes == (16,)
+        assert cfg.attn.reduction_ratio == 3  # default
+        assert cfg.train.batch_size == 64
 
     def test_unknown_key_named(self, cfg_dir):
         (cfg_dir / "bad.conf").write_text(TINY + "model.dropout = 0.5\n")
@@ -112,7 +112,7 @@ class TestRunConfig:
     def test_override_flag(self, cfg_dir):
         cfg = load_run_config(cfg_dir / "run.conf",
                               overrides=["attn.reduction_ratio=4"])
-        assert cfg.attn_config().reduction_ratio == 4
+        assert cfg.attn.reduction_ratio == 4
         with pytest.raises(ConfigError, match="override"):
             load_run_config(cfg_dir / "run.conf", overrides=["oops"])
 
@@ -288,18 +288,25 @@ class TestSharedErrors:
         assert repr(raw) in message
 
 
-def documented_keys(heading):
-    """Keys in the first column of the README table under ``heading``."""
+def documented_defaults(heading):
+    """``{key: default}`` from the README table under ``heading``: keys from
+    the first column, defaults from the second with backticks stripped."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
-    keys = set()
+    defaults = {}
     for line in text.split("\n#", 1)[0].splitlines():
         if not line.startswith("| `"):
             continue
-        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+        cells = line.split("|")
+        for token in re.findall(r"`([^`]+)`", cells[1]):
             section, names = token.split(".", 1)
-            keys.update(f"{section}.{name}" for name in names.split("/"))
-    return keys
+            defaults.update({f"{section}.{name}": cells[2].strip().replace("`", "")
+                             for name in names.split("/")})
+    return defaults
+
+
+def documented_keys(heading):
+    return set(documented_defaults(heading))
 
 
 class TestReadmeTable:
@@ -309,3 +316,16 @@ class TestReadmeTable:
     def test_documented_schema_and_synth_keys(self):
         assert documented_keys("### Schema files") == set(_SCHEMA_KEYS)
         assert documented_keys("### Synthetic-data specs") == set(_SYNTH_KEYS)
+
+    @pytest.mark.parametrize("heading, keys", [
+        ("## Configuration", _RUN_KEYS),
+        ("### Schema files", _SCHEMA_KEYS),
+        ("### Synthetic-data specs", _SYNTH_KEYS),
+    ], ids=["run", "schema", "synth"])
+    def test_documented_defaults_equal_key_table_defaults(self, heading, keys):
+        # an unset key reads "–", or for run.out the fallback directory
+        unset = {"run.out": "runs/<config-stem>"}
+        want = {key: "required" if default is _REQUIRED
+                else unset.get(key, "–") if default is None else _canon(default)
+                for key, (_, default) in keys.items()}
+        assert documented_defaults(heading) == want

@@ -91,6 +91,14 @@ class TestBuildVocab:
         assert vocab.index_of(0, "100") == 4
         assert vocab.index_of(0, "not-a-number") == 0
 
+    def test_nan_cell_does_not_move_numeric_edges(self, csv_file):
+        schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
+        rows = [f"{i},0" for i in range(1, 41)]
+        plain = vocab_from(csv_file("x,y\n" + "\n".join(rows)), schema)
+        with_nan = vocab_from(csv_file("x,y\n" + "\n".join([*rows, "nan,1"])), schema)
+        assert plain.boundaries[0].tolist() == [10.75, 20.5, 30.25]
+        assert with_nan.boundaries[0].tolist() == plain.boundaries[0].tolist()
+
 
 class TestEncode:
     def test_all_unseen_maps_to_zero(self, csv_file):
@@ -152,7 +160,7 @@ class TestColumnwiseIngest:
         assert [row[0] for row in batch.indices.tolist()] == [1, 2, 1, 0, 2, 1, 0, 2]
         temp = batch.indices[:, 1].tolist()
         assert temp[1] == 0 and temp[5] == 0  # cells that do not parse
-        assert temp[2] == len(vocab.boundaries[1]) + 1  # "nan" parses and sorts last
+        assert temp[2] == 0  # "nan" counts as unparsed
         assert batch.labels.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
 
     @pytest.mark.parametrize("fn", [build_vocab_rows, encode_rows])
@@ -170,6 +178,12 @@ class TestColumnwiseIngest:
         vocab = vocab_from(csv_file(MIXED_CSV), schema)
         with pytest.raises(DataError, match="row 2: label 'yes' is not a number"):
             encode_file(csv_file("city,temp,y\na,1,0\nb,2,yes\nc,3,2\n"), schema, vocab)
+
+    def test_nan_label_is_not_a_number(self, csv_file):
+        schema = mixed_schema()
+        vocab = vocab_from(csv_file(MIXED_CSV), schema)
+        with pytest.raises(DataError, match="row 2: label 'nan' is not a number"):
+            encode_file(csv_file("city,temp,y\na,1,0\nb,2,nan\n"), schema, vocab)
 
     def test_label_two_named(self, csv_file):
         schema = mixed_schema()
@@ -204,7 +218,7 @@ class TestReadTable:
 
 class TestBatch:
     def test_binary_labels_enforced(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^labels must be 0 or 1$"):
             Batch(np.zeros((2, 1), dtype=np.uint32), np.array([0.5, 1.0]))
 
     def test_shape_checks(self):

@@ -116,9 +116,9 @@ class TestBuild:
         assert total == embed + param_count(attn, f, d) + tower
 
     def test_toggling_attention_leaves_other_inits_unchanged(self):
-        kwargs = dict(d=2, tower_config=TowerConfig((4,)), seed=11)
-        on = build(schema_of(2), vocab_of([4, 4]), attn_config=MMBAttnConfig(), **kwargs)
-        off = build(schema_of(2), vocab_of([4, 4]), attn_config=ATTN_OFF, **kwargs)
+        kwargs = dict(d=2, tower=TowerConfig((4,)), seed=11)
+        on = build(schema_of(2), vocab_of([4, 4]), attn=MMBAttnConfig(), **kwargs)
+        off = build(schema_of(2), vocab_of([4, 4]), attn=ATTN_OFF, **kwargs)
         for name in off.registry:
             assert np.array_equal(on.registry[name].data, off.registry[name].data)
 

@@ -44,7 +44,7 @@ class TestBceLoss:
         assert abs(bce_loss(y_hat, y) - oracle) < 1e-12
 
     def test_non_binary_labels_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^labels must be 0 or 1$"):
             bce_loss([0.5], [0.7])
 
 
@@ -100,6 +100,10 @@ class TestAuc:
     def test_single_class_undefined(self):
         with pytest.raises(MetricError):
             auc([0.1, 0.2], [1.0, 1.0])
+
+    def test_non_binary_labels_rejected(self):
+        with pytest.raises(ContractError, match="^labels must be 0 or 1$"):
+            auc([0.1, 0.2], [0.0, 2.0])
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(4)
