@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, MMBAttnError, naming
 from .gradcheck import run_gradcheck
 from .model import Model, build
 from .seeding import derive_seed
-from .training import EvalReport, eval_thread_count, evaluate, train
+from .training import EvalReport, evaluate, train
 
 GRADCHECK_TOL = 1e-4
 
@@ -33,7 +33,6 @@ class PreparedData:
     train: Batch
     valid: Batch
     test: Batch
-    truth: object | None = None
 
     def digests(self) -> dict[str, str]:
         return {split: getattr(self, split).digest() for split in SPLITS}
@@ -45,9 +44,8 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         sources = (cfg.path("data.synth"),) * 3
         spec = load_synth_spec(sources[0])
         with naming(sources[0]):
-            train_b, valid_b, test_b, truth = synth_generate(spec)
-        prepared = PreparedData(spec.schema(), spec.vocabulary(),
-                                train_b, valid_b, test_b, truth)
+            *splits, _ = synth_generate(spec)
+        prepared = PreparedData(spec.schema(), spec.vocabulary(), *splits)
     else:
         schema = load_schema(cfg.path("data.schema"))
         if cfg.values["data.file"] is not None:
@@ -92,8 +90,7 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
     with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         report = train(model, prepared.train, prepared.valid, prepared.test,
                        cfg.train, run_seed=seed,
-                       emit=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
-                       eval_threads=eval_thread_count())
+                       emit=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"))
     digest = cfg.digest(seed)
     ckpt.save_checkpoint(out_dir / "checkpoint.mmbc", model.registry, digest)
     info = {
@@ -168,7 +165,7 @@ def cmd_evaluate(args) -> int:
     model = _build_model(cfg, seed, prepared)
     ckpt.restore_model(model, ckpt.load_checkpoint(path),
                        expected_digest=cfg.digest(seed), force=args.force)
-    report = evaluate(model, prepared.test, threads=eval_thread_count())
+    report = evaluate(model, prepared.test)
     print(json.dumps({"split": "test", "auc": report.auc,
                       "logloss": report.logloss, "n": report.n}, sort_keys=True))
     return 0

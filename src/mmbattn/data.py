@@ -96,7 +96,7 @@ class Vocabulary:
             value = float(raw)
         except ValueError:
             return 0
-        if np.isnan(value):
+        if not np.isfinite(value):
             return 0
         return int(np.searchsorted(bounds, value, side="right")) + 1
 
@@ -220,7 +220,7 @@ def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
 
 def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """``float()`` of every cell, plus a mask of the cells that parse to a
-    number; ``nan`` counts as unparsed."""
+    finite number; ``nan`` and ``±inf`` count as unparsed."""
     values = np.zeros(len(cells), dtype=np.float64)
     ok = np.ones(len(cells), dtype=bool)
     for i, raw in enumerate(cells):
@@ -228,7 +228,7 @@ def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
             values[i] = float(raw)
         except ValueError:
             ok[i] = False
-    ok &= ~np.isnan(values)
+    ok &= np.isfinite(values)
     return values, ok
 
 
@@ -247,7 +247,7 @@ def build_vocab_rows(header: list[str], rows: list[list[str]],
             values, ok = _parse_floats(col)
             vals = values[ok]
             if vals.size:
-                qs = np.linspace(0.0, 1.0, schema.buckets + 1)[1:-1]
+                qs = np.arange(1, schema.buckets) * (1.0 / schema.buckets)
                 edges = np.unique(np.quantile(vals, qs))
             else:
                 edges = np.empty(0, dtype=np.float64)
@@ -386,8 +386,9 @@ def _synth_weights(spec: SynthSpec) -> dict[int, np.ndarray]:
     return out
 
 
-def _combo_probs(spec: SynthSpec, weights: dict[int, np.ndarray]) -> np.ndarray:
-    """Click probability of every informative-value combination (all equally likely)."""
+def synth_truth(spec: SynthSpec) -> SynthTruth:
+    weights = _synth_weights(spec)
+    # click probability of every informative-value combination (all equally likely)
     n_combos = 1
     for f in spec.informative:
         n_combos *= spec.cardinalities[f]
@@ -396,28 +397,18 @@ def _combo_probs(spec: SynthSpec, weights: dict[int, np.ndarray]) -> np.ndarray:
     logits = np.zeros(1)
     for f in spec.informative:
         logits = (logits[:, None] + weights[f][None, :]).ravel()
-    return stable_sigmoid(logits)
-
-
-def _bayes_auc_of(probs: np.ndarray) -> float:
-    """Expected AUC of the true click probability used as the ranking score."""
+    probs = stable_sigmoid(logits)
+    # Bayes AUC: expected AUC of the true click probability as the ranking score
     uniq, counts = np.unique(probs, return_counts=True)  # ascending
     pos = counts * uniq
     neg = counts * (1.0 - uniq)
     below = np.cumsum(neg) - neg  # negative mass strictly below each score
     num = float(np.sum(pos * below) + 0.5 * np.sum(pos * neg))
     den = float(pos.sum() * neg.sum())
-    return num / den
-
-
-def synth_truth(spec: SynthSpec) -> SynthTruth:
-    weights = _synth_weights(spec)
-    probs = _combo_probs(spec, weights)
     importance = tuple(
         float(np.var(weights[f])) if f in weights else 0.0
         for f in range(spec.n_fields))
-    return SynthTruth(importance=importance,
-                      bayes_auc=_bayes_auc_of(probs),
+    return SynthTruth(importance=importance, bayes_auc=num / den,
                       base_rate=float(np.mean(probs)))
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -13,11 +12,10 @@ import numpy as np
 from .autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
 from .blas import threads_for
 from .data import Batch, batches, check_labels
-from .errors import ConfigError, ContractError, MetricError, TrainingError
+from .errors import ConfigError, ContractError, MetricError, TrainingError, naming
 from .model import Model
 from .seeding import derive_seed
 
-EVAL_THREADS_ENV = "MMBATTN_EVAL_THREADS"
 EVAL_BATCH_SIZE = 8192
 
 
@@ -139,43 +137,32 @@ class EvalReport:
 
 
 def eval_thread_count() -> int:
-    raw = os.environ.get(EVAL_THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"{EVAL_THREADS_ENV} must be a positive integer, got {raw!r}")
-    return threads
+    """Always 1: threaded evaluation measured slower than one thread.
 
-
-def _shard_logits(model: Model, data: Batch, batch_size: int) -> np.ndarray:
-    out = np.empty(data.n)
-    pos = 0
-    for batch in batches(data, batch_size):
-        z = model.forward_logits(Graph(record=False), batch)
-        out[pos:pos + batch.n] = z.data
-        pos += batch.n
-    return out
+    Kept, with ``evaluate(threads=)`` and ``train(eval_threads=)``, only
+    because the benchmark harness still passes them."""
+    return 1
 
 
 def evaluate(model: Model, data: Batch, batch_size: int = EVAL_BATCH_SIZE,
              threads: int = 1) -> EvalReport:
-    """Score a dataset; shards are concatenated in order before ranking.
+    """Score a dataset in ``batch_size`` batches, in order, then rank.
 
-    A non-finite logit raises TrainingError naming its row and the first
-    non-finite parameter group."""
+    ``threads > 1`` scores the same batches on a thread pool, so the
+    result does not depend on it.  A non-finite logit raises
+    TrainingError naming its row and the first non-finite parameter group."""
     if data.n == 0:
         raise ContractError("cannot evaluate an empty dataset")
-    if threads <= 1 or data.n <= batch_size:
-        logits = _shard_logits(model, data, batch_size)
+
+    def logits_of(batch: Batch) -> np.ndarray:
+        return model.forward_logits(Graph(record=False), batch).data
+
+    if threads <= 1:
+        parts = list(map(logits_of, batches(data, batch_size)))
     else:
-        cuts = np.linspace(0, data.n, threads + 1, dtype=int)
-        shards = [data.take(slice(int(lo), int(hi)))
-                  for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            parts = list(pool.map(lambda s: _shard_logits(model, s, batch_size), shards))
-        logits = np.concatenate(parts)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(logits_of, batches(data, batch_size)))
+    logits = np.concatenate(parts)
     if not np.isfinite(logits).all():
         bad = [name for name, t in model.registry.items() if not np.isfinite(t.data).all()]
         raise TrainingError(f"non-finite logit at row {np.argmin(np.isfinite(logits))}, "
@@ -199,7 +186,8 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     restored before the test split is scored.  ``emit`` receives one
     record per epoch ({epoch, split, auc, logloss, train_loss, seconds})
     and a final record with split "test".  Aborts naming the batch if the
-    loss goes non-finite, or the split if a logit does.  Training steps
+    loss goes non-finite; an error while scoring a split (a non-finite
+    logit, a one-class split) names the epoch and the split.  Training steps
     with small GEMMs run on one BLAS thread; evaluation keeps the
     library's default count.  An empty train split raises ContractError.
     """
@@ -218,10 +206,8 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
          if p.data.ndim == 2 and not name.startswith("embed.")), default=0)
 
     def score(data: Batch, split: str) -> EvalReport:
-        try:
+        with naming(f"epoch {epoch}, {split} split"):
             return evaluate(model, data, threads=eval_threads)
-        except TrainingError as exc:
-            raise TrainingError(f"epoch {epoch}, {split} split: {exc}") from None
 
     for epoch in range(1, config.max_epochs + 1):
         tick = time.perf_counter()

@@ -14,7 +14,8 @@ from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor
 from mmbattn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from mmbattn.config import load_run_config, load_schema, load_synth_spec
-from mmbattn.data import batches, build_vocab_rows, encode_rows, read_table
+from mmbattn.data import (batches, build_vocab_rows, encode_rows, read_table,
+                          synth_truth)
 from mmbattn.model import TowerConfig, build
 from mmbattn.training import TrainConfig, auc, bce_loss, train
 
@@ -151,7 +152,7 @@ def planted_runs(tmp_path_factory):
         rep = cli.run_single(base_cfg, seed, out_root / "base" / f"seed_{seed}",
                              prepared)
         base[seed] = {"auc": rep.auc}
-    return {"spec": spec, "truth": prepared.truth, "full": full, "base": base,
+    return {"spec": spec, "truth": synth_truth(spec), "full": full, "base": base,
             "full_seconds": full_seconds, "out_root": out_root}
 
 

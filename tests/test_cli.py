@@ -1,9 +1,6 @@
 import argparse
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +11,6 @@ from mmbattn.autograd import Graph, accumulate_grad
 from mmbattn.config import load_run_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_metrics(path):
@@ -161,19 +157,6 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checkpoint.mmbc" in err
-
-    def test_bad_eval_threads_env_exits_cleanly(self, tmp_path):
-        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1", "train.max_epochs": "1"})
-        out = tmp_path / "out"
-        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        env = {**os.environ, "MMBATTN_EVAL_THREADS": "two", "PYTHONPATH": str(SRC)}
-        proc = subprocess.run([sys.executable, "-m", "mmbattn.cli", "evaluate",
-                               "--config", str(cfg), "--out", str(out)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "MMBATTN_EVAL_THREADS" in proc.stderr and "'two'" in proc.stderr
-        assert "Traceback" not in proc.stderr
 
 
 class TestAblateCommand:
@@ -385,6 +368,15 @@ class TestSynthCommand:
                         "synth.weight_scale = 200\nsynth.seed = 3\n")
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {spec}: label base rate ")
+
+    def test_too_many_informative_combinations_names_spec(self, tmp_path, capsys):
+        # 2000 x 1001 informative values: 2,002,000 combinations, past the 2M cap
+        spec = tmp_path / "spec.conf"
+        spec.write_text("synth.rows = 100\nsynth.fields = 2\n"
+                        "synth.cardinality = 2000,1001\nsynth.informative = 0,1\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec}: too many value combinations for exact Bayes computation\n")
 
 
 class TestCsvPipeline:

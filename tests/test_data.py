@@ -99,6 +99,19 @@ class TestBuildVocab:
         assert plain.boundaries[0].tolist() == [10.75, 20.5, 30.25]
         assert with_nan.boundaries[0].tolist() == plain.boundaries[0].tolist()
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf"])
+    def test_infinite_cell_does_not_move_numeric_edges(self, csv_file, cell):
+        schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
+        rows = [f"{i},{i % 2}" for i in range(1, 5)]
+        plain = vocab_from(csv_file("x,y\n" + "\n".join(rows)), schema)
+        path = csv_file("x,y\n" + "\n".join([*rows, f"{cell},1"]))
+        with_inf = vocab_from(path, schema)
+        assert plain.boundaries[0].tolist() == [1.75, 2.5, 3.25]
+        assert with_inf.boundaries[0].tolist() == plain.boundaries[0].tolist()
+        # the infinite cell takes the OOV index, in encoding and in the oracle
+        assert encode_file(path, schema, with_inf).indices[:, 0].tolist() == [1, 2, 3, 4, 0]
+        assert with_inf.index_of(0, cell) == 0
+
 
 class TestEncode:
     def test_all_unseen_maps_to_zero(self, csv_file):
@@ -184,6 +197,12 @@ class TestColumnwiseIngest:
         vocab = vocab_from(csv_file(MIXED_CSV), schema)
         with pytest.raises(DataError, match="row 2: label 'nan' is not a number"):
             encode_file(csv_file("city,temp,y\na,1,0\nb,2,nan\n"), schema, vocab)
+
+    def test_inf_label_is_not_a_number(self, csv_file):
+        schema = mixed_schema()
+        vocab = vocab_from(csv_file(MIXED_CSV), schema)
+        with pytest.raises(DataError, match="row 2: label 'inf' is not a number"):
+            encode_file(csv_file("city,temp,y\na,1,0\nb,2,inf\n"), schema, vocab)
 
     def test_label_two_named(self, csv_file):
         schema = mixed_schema()

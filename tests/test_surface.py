@@ -10,6 +10,9 @@ It is a tripwire, not a proof. References are matched by name alone, so a
 helper that shares its name with something else in use (say a method
 ``encode`` beside ``str.encode(`` or ``decode`` beside ``bytes.decode(``)
 still counts as used.
+
+A second check lists the names that only ``perfbench/`` references, so
+that what the package keeps just for the benchmark is written down.
 """
 
 import ast
@@ -25,6 +28,14 @@ ORACLES = {
     "param_count": "closed-form attention parameter count, checked against the registry",
     "field_weights": "the paper's per-field importance readout, read by the planted "
                      "recovery check",
+}
+
+# Kept although only the benchmark calls them, each for the reason given;
+# the next change to perfbench/ that stops calling one deletes it here and
+# in the package.
+BENCHMARK_ONLY = {
+    "eval_thread_count": "perfbench/run.py passes it to train and evaluate; "
+                         "it always returns 1",
 }
 
 
@@ -46,9 +57,9 @@ def _defined():
     return out
 
 
-def _referenced():
+def _referenced(*dirs):
     out = set()
-    for _, tree in _trees(PACKAGE, ROOT / "perfbench"):
+    for _, tree in _trees(*dirs):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 out.add(node.id)
@@ -62,9 +73,17 @@ def _referenced():
 
 
 def test_only_the_kept_oracles_go_unused():
-    used = _referenced()
+    used = _referenced(PACKAGE, ROOT / "perfbench")
     unused = {name: where for name, where in _defined().items() if name not in used}
     extra = {name: where for name, where in unused.items() if name not in ORACLES}
     assert not extra, f"defined but used only by tests (or not at all): {extra}"
     # an oracle that was deleted, or that the package now calls, leaves the list
     assert set(unused) == set(ORACLES)
+
+
+def test_only_the_listed_names_are_kept_for_the_benchmark():
+    by_package = _referenced(PACKAGE)
+    by_bench = _referenced(ROOT / "perfbench")
+    bench_only = {name for name in _defined()
+                  if name in by_bench and name not in by_package}
+    assert bench_only == set(BENCHMARK_ONLY)

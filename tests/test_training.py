@@ -250,6 +250,14 @@ class TestTrainLoop:
                 TrainingError, match=r"epoch 1, valid split: non-finite logit"):
             train(model, tr, va, te, cfg, run_seed=1)
 
+    def test_one_class_valid_split_names_epoch_and_split(self):
+        spec, (tr, va, te, _) = tiny_planted()
+        model = self.build_model(spec)
+        positives = va.take(np.flatnonzero(va.labels == 1.0))
+        with pytest.raises(MetricError, match=r"^epoch 1, valid split: AUC undefined"):
+            train(model, tr, positives, te, TrainConfig(batch_size=1024, max_epochs=1),
+                  run_seed=1)
+
     def test_one_step_decreases_loss_for_some_lr(self):
         # line-search invariant over lr in {1e-2, 1e-3, 1e-4}
         spec, (tr, _, _, _) = tiny_planted()
@@ -292,13 +300,16 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
-    def test_sharded_evaluation_matches_single_thread(self):
+    # te has 600 rows: 100 divides it; 128 does not; 250 and 8192 make
+    # fewer batches (3 and 1) than the 4 threads
+    @pytest.mark.parametrize("batch_size", [100, 128, 250, 8192])
+    def test_sharded_evaluation_matches_single_thread(self, batch_size):
         spec, (tr, va, te, _) = tiny_planted()
         model = build(spec.schema(), spec.vocabulary(), 4,
                       MMBAttnConfig(reduction_ratio=2), TowerConfig((8,)), seed=3)
-        one = evaluate(model, te, batch_size=128, threads=1)
-        many = evaluate(model, te, batch_size=128, threads=4)
-        assert np.array_equal(one.scores, many.scores)
+        one = evaluate(model, te, batch_size=batch_size, threads=1)
+        many = evaluate(model, te, batch_size=batch_size, threads=4)
+        assert one.scores.tobytes() == many.scores.tobytes()
         assert one.auc == many.auc and one.logloss == many.logloss
 
     def test_nan_parameter_raises_naming_row_and_group(self):
