@@ -71,19 +71,21 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, branch split on sign, clamped to (0, 1).
+    """Numerically stable sigmoid ``exp(min(x, 0)) / (1 + exp(-|x|))``,
+    clamped to (0, 1).
 
-    ``exp(-|x|)`` is ``exp(-x)`` for x >= 0 and ``exp(x)`` below, so each
-    branch sees the bits a masked two-pass form would give it.
+    That is ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))``
+    below, so each branch sees the bits a masked two-pass form would give
+    it, without a masked pass.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()  # 1-d even for a 0-d input, so ``out=`` gets an array
     ex = np.negative(flat)
     np.minimum(flat, ex, out=ex)  # -|x|, but a NaN keeps its sign
     np.exp(ex, out=ex)
-    den = 1.0 + ex
-    out = ex / den
-    np.divide(1.0, den, out=out, where=flat >= 0)
+    ex += 1.0
+    out = np.exp(np.minimum(flat, 0.0))  # 1 for x >= 0, exp(x) below
+    np.divide(out, ex, out=out)
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
     return out.reshape(arr.shape)
 

@@ -44,9 +44,10 @@ def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:
     """Gather per-field embedding rows into a (B × F × d) tensor.
 
     Equivalent to multiplying one-hot index vectors by each table;
-    backward scatter-adds gradients into the selected rows only.  Rows of
-    different fields never collide, so each row sums its contributions in
-    batch order, as a per-field scatter would.
+    backward scatter-adds gradients into the selected rows only, with one
+    ``bincount`` over the distinct rows' cells.  Rows of different fields
+    never collide, so each row sums its contributions in batch order, as a
+    per-field scatter would.
     """
     idx = batch.indices
     if idx.shape[1] != len(emb.sizes):
@@ -62,6 +63,10 @@ def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, rows, grad)
+        d = grad.shape[-1]
+        u, inv = np.unique(rows, return_inverse=True)
+        cells = (inv.reshape(-1, 1) * d + np.arange(d)).ravel()
+        sums = np.bincount(cells, weights=grad.ravel(), minlength=u.size * d)
+        table.grad[u] += sums.reshape(u.size, d)
 
     return g.record_op(np.take(table.data, rows, axis=0), (table,), backward)

@@ -13,6 +13,7 @@ from .autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
 from .blas import threads_for
 from .data import Batch, batches, check_labels
 from .errors import ConfigError, ContractError, MetricError, TrainingError, naming
+from .heap import keep_freed_memory
 from .model import Model
 from .seeding import derive_seed
 
@@ -153,6 +154,7 @@ def evaluate(model: Model, data: Batch, batch_size: int = EVAL_BATCH_SIZE,
     TrainingError naming its row and the first non-finite parameter group."""
     if data.n == 0:
         raise ContractError("cannot evaluate an empty dataset")
+    keep_freed_memory()
 
     def logits_of(batch: Batch) -> np.ndarray:
         return model.forward_logits(Graph(record=False), batch).data
@@ -193,6 +195,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     """
     if train_data.n == 0:
         raise ContractError("cannot train on an empty dataset")
+    keep_freed_memory()
     emit = emit or (lambda record: None)
     shuffle_seed = derive_seed(run_seed, "shuffle")
     params, grads = {"params": model.params}, {"params": model.grads}
