@@ -16,7 +16,7 @@ from . import checkpoint as ckpt
 from .attention import ABLATION_ROWS
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
 from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
-                   hash_split, lines_of, read_table, synth_generate, synth_write_csv)
+                   hash_split, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, DataError, MMBAttnError, naming
 from .gradcheck import run_gradcheck
 from .model import Model, build
@@ -51,21 +51,19 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         if cfg.values["data.file"] is not None:
             sources = (cfg.path("data.file"),) * 3
             header, rows = read_table(sources[0], schema.delimiter)
-            picks = hash_split(len(rows))
-            parts = [(header, [rows[i] for i in idx]) for idx in picks]
+            parts = [(header, rows.take(idx)) for idx in hash_split(len(rows))]
         else:  # each pre-split file is read by its own header
             sources = tuple(cfg.path(f"data.{split}") for split in SPLITS)
-            picks = (None,) * 3
             parts = [read_table(path, schema.delimiter) for path in sources]
         for source, split, (_, rows) in zip(sources, SPLITS, parts):
             if not rows:
                 raise DataError(f"{source}: the {split} split has no rows")
-        with lines_of(sources[0], schema.delimiter, picks[0]):
+        with naming(sources[0]):
             vocab = build_vocab_rows(*parts[0], schema)
         splits = []
-        for source, idx, (header, rows) in zip(sources, picks, parts):
-            with lines_of(source, schema.delimiter, idx):
-                splits.append(encode_rows(header, rows, schema, vocab))
+        for source, part in zip(sources, parts):
+            with naming(source):
+                splits.append(encode_rows(*part, schema, vocab))
         prepared = PreparedData(schema, vocab, *splits)
     for source, split in zip(sources[1:], SPLITS[1:]):
         if np.unique(getattr(prepared, split).labels).size < 2:
@@ -215,7 +213,10 @@ def cmd_sweep(args) -> int:
     run_cfgs = []
     for value in values:
         with naming(f"{args.config}: --values {value}"):
-            run_cfgs.append(cfg.override({key: value}))
+            run_cfg = cfg.override({key: value})
+            if any(run_cfg.values[key] == c.values[key] for c in run_cfgs):
+                raise ConfigError("repeats an earlier value")
+            run_cfgs.append(run_cfg)
     prepared = prepare_data(cfg)  # swept axes never affect data preparation
     out_dir = _out_dir(cfg, args)
     rows = []
@@ -324,6 +325,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except MMBAttnError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # e.g. an --out path that is a regular file
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -201,6 +201,10 @@ def _resolve_run(kv: dict[str, str], base_dir: Path) -> RunConfig:
                           patience=values["train.patience"]))
     if values["model.embedding_dim"] < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
+    seeds = values["run.seeds"]
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"run.seeds lists seed {repeated[0]} more than once")
 
     given = [k for k in _RUN_KEYS if k.startswith("data.") and values[k] is not None]
     if set(given) not in _DATA_SOURCES:

@@ -7,7 +7,6 @@ import csv
 import hashlib
 import json
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .autograd import stable_sigmoid
 from .checkpoint import write_atomic
-from .errors import ContractError, DataError, RowError, SchemaError, SynthSpecError, naming
+from .errors import ContractError, DataError, SchemaError, SynthSpecError
 from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
@@ -152,69 +151,63 @@ class Batch:
 # -- CSV ingestion ------------------------------------------------------
 
 
-def read_table(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
-    """Slurp a CSV file into (header, rows); desk-scale datasets only."""
+class Rows(list):
+    """Data rows as read from a CSV file; ``lines[i]`` is the file line
+    where row i starts (the header is line 1, and blank lines and quoted
+    line breaks count)."""
+
+    def __init__(self, rows=(), lines=()):
+        super().__init__(rows)
+        self.lines = list(lines)
+
+    def take(self, idx) -> "Rows":
+        """The rows at ``idx``, in that order, keeping their lines."""
+        return Rows(map(self.__getitem__, idx), map(self.lines.__getitem__, idx))
+
+
+def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
+    """Slurp a CSV file into (header, rows), refusing a row whose width is
+    not the header's; desk-scale datasets only."""
+    rows = Rows()
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             try:
                 header = next(reader, None)
-                rows = [row for row in reader if row]
+                if header is None:
+                    raise DataError(f"{path}: empty file")
+                width = len(header)
+                add_row, add_line = rows.append, rows.lines.append
+                start = reader.line_num + 1
+                for row in reader:
+                    if row:
+                        if len(row) != width:
+                            raise DataError(f"{path}: line {start}: expected {width} "
+                                            f"columns, got {len(row)}")
+                        add_row(row)
+                        add_line(start)
+                    start = reader.line_num + 1
             except csv.Error as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     return header, rows
 
 
-@contextmanager
-def lines_of(path, delimiter: str, picks: np.ndarray | None = None):
-    """Re-raise a :class:`RowError` naming ``path`` and the row's file line,
-    and any other package error with ``path`` in front.
-
-    The error's row indexes the rows ``read_table(path)`` returned or, with
-    ``picks``, the selection ``[rows[i] for i in picks]`` of them.  The
-    header is line 1; blank lines and quoted line breaks count.
-    """
-    with naming(path):
-        try:
-            yield
-        except RowError as exc:
-            row = exc.row if picks is None else int(picks[exc.row])
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh, delimiter=delimiter)
-                next(reader)
-                start = reader.line_num + 1
-                for record in reader:
-                    if record:
-                        if row == 0:
-                            raise DataError(f"line {start}: {exc.detail}") from None
-                        row -= 1
-                    start = reader.line_num + 1
-            raise DataError("changed while it was read") from None
-
-
-def _columns(header: list[str], rows: list[list[str]], schema: FieldSchema,
+def _columns(header: list[str], rows: Rows, schema: FieldSchema,
              names: Sequence[str]) -> list[list[str]]:
-    """Check every row's width, then return the named columns' cells."""
-    if not rows:
-        raise DataError("no data rows")
+    """Return the named columns' cells of rows ``read_table`` checked."""
+    if not isinstance(rows, Rows):
+        raise ContractError("rows must be the data.Rows that read_table returns")
     for name in (*schema.field_names, schema.label_column):
         if name not in header:
             raise SchemaError(f"missing column {name!r} in header")
         if header.count(name) > 1:
             raise SchemaError(f"column {name!r} appears more than once in header")
-    width = len(header)
-    widths = list(map(len, rows))
-    if widths.count(width) != len(rows):
-        r, got = next((r, w) for r, w in enumerate(widths) if w != width)
-        raise RowError(r, f"expected {width} columns, got {got}")
     return [[row[c] for row in rows] for c in map(header.index, names)]
 
 
@@ -232,7 +225,7 @@ def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return values, ok
 
 
-def build_vocab_rows(header: list[str], rows: list[list[str]],
+def build_vocab_rows(header: list[str], rows: Rows,
                      schema: FieldSchema) -> Vocabulary:
     mc = schema.min_count
     cols = _columns(header, rows, schema, schema.field_names)
@@ -256,7 +249,7 @@ def build_vocab_rows(header: list[str], rows: list[list[str]],
     return Vocabulary(maps, bounds)
 
 
-def encode_rows(header: list[str], rows: list[list[str]],
+def encode_rows(header: list[str], rows: Rows,
                 schema: FieldSchema, vocab: Vocabulary) -> Batch:
     """Encode one column at a time; matches ``vocab.index_of`` per cell."""
     *cols, label_cells = _columns(header, rows, schema,
@@ -267,8 +260,8 @@ def encode_rows(header: list[str], rows: list[list[str]],
         r = int(np.flatnonzero(bad)[0])
         raw = label_cells[r]
         if not ok[r]:
-            raise RowError(r, f"label {raw!r} is not a number")
-        raise RowError(r, f"label must be 0 or 1, got {raw!r}")
+            raise DataError(f"line {rows.lines[r]}: label {raw!r} is not a number")
+        raise DataError(f"line {rows.lines[r]}: label must be 0 or 1, got {raw!r}")
     indices = np.empty((len(rows), schema.n_fields), dtype=np.uint32)
     for f, col in enumerate(cols):
         edges = vocab.boundaries[f]

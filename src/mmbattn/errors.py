@@ -23,15 +23,6 @@ class DataError(MMBAttnError):
     """Malformed input data: bad label, bad row width, empty or unreadable file."""
 
 
-class RowError(DataError):
-    """A bad data row; ``row`` is its 0-based index among the rows checked."""
-
-    def __init__(self, row: int, detail: str):
-        super().__init__(f"row {row + 1}: {detail}")
-        self.row = row
-        self.detail = detail
-
-
 class SynthSpecError(MMBAttnError):
     """Invalid synthetic-data specification."""
 

@@ -77,6 +77,8 @@ def auc(scores, labels) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if s.ndim != 1 or s.shape != y.shape:
         raise ContractError("scores and labels must be equal-length vectors")
+    if not np.isfinite(s).all():
+        raise ContractError("scores must be finite")
     check_labels(y)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos

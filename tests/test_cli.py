@@ -112,6 +112,25 @@ class TestTrainCommand:
             cb = (out_b / f"seed_{seed}" / "checkpoint.mmbc").read_bytes()
             assert ca == cb
 
+    def test_out_path_that_is_a_file_exits_with_error(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        out.write_text("")
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out / 'seed_1'}: Not a directory\n"
+
+    @pytest.mark.parametrize("flags, extra", [
+        (["--seed", "1", "--seed", "1"], {}),
+        ([], {"run.seeds": "1,2,1"}),
+    ])
+    def test_repeated_seed_refused(self, tmp_path, capsys, flags, extra):
+        cfg = write_tiny_config(tmp_path, **extra)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: run.seeds lists seed 1 "
+                                           f"more than once\n")
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_matches_training_test_metrics(self, tmp_path, capsys):
@@ -296,6 +315,17 @@ class TestSweepCommand:
         assert err.startswith(f"error: {cfg}: --values 0: attn.reduction_ratio must be >= 1")
         assert not (out / "reduction_ratio_3").exists()
 
+    @pytest.mark.parametrize("values, repeated", [("2,4,2", "2"), ("2,02", "02")])
+    def test_repeated_value_refused_before_any_training(self, tmp_path, capsys,
+                                                         values, repeated):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--axis", "reduction_ratio", "--values", values]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: --values {repeated}: "
+                                           f"repeats an earlier value\n")
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_bundled_config_passes(self, capsys):
@@ -377,6 +407,14 @@ class TestSynthCommand:
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"error: {spec}: too many value combinations for exact Bayes computation\n")
+
+    def test_out_path_that_is_a_file_exits_with_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert cli.main(["synth", "--spec", str(CONFIGS / "tiny_synth.conf"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
+        assert out.read_text() == ""
 
 
 class TestCsvPipeline:

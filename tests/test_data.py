@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, SynthSpec,
+from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, Rows, SynthSpec,
                           batches, build_vocab_rows, encode_rows, hash_split,
                           read_table, synth_generate,
                           synth_table, synth_truth, synth_write_csv)
@@ -123,7 +123,7 @@ class TestEncode:
         vocab = vocab_from(csv_file("f,y\na,1\n"), one_field_schema())
         batch = encode_file(csv_file("f,y\na,1\na,0\n"), one_field_schema(), vocab)
         assert batch.labels.tolist() == [1.0, 0.0]
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match="line 3: label must be 0 or 1, got '2'"):
             encode_file(csv_file("f,y\na,1\na,2\n"), one_field_schema(), vocab)
 
     def test_fuzz_indices_always_in_range(self, csv_file):
@@ -178,36 +178,46 @@ class TestColumnwiseIngest:
 
     @pytest.mark.parametrize("fn", [build_vocab_rows, encode_rows])
     def test_short_row_named(self, fn, csv_file):
+        # read_table refuses the row, so neither stage ever sees it
         schema = mixed_schema()
-        header, rows = read_table(csv_file("city,temp,y\na,1,0\nb,2,1\nc,3\n"))
-        args = (header, rows, schema)
-        if fn is encode_rows:
-            args += (vocab_from(csv_file(MIXED_CSV), schema),)
-        with pytest.raises(DataError, match="row 3: expected 3 columns, got 2"):
-            fn(*args)
+        path = csv_file("city,temp,y\na,1,0\nb,2,1\nc,3\n")
+        extra = () if fn is build_vocab_rows else (vocab_from(csv_file(MIXED_CSV), schema),)
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: line 4: expected 3 columns, got 2")):
+            fn(*read_table(path, schema.delimiter), schema, *extra)
 
     def test_non_numeric_label_named(self, csv_file):
         schema = mixed_schema()
         vocab = vocab_from(csv_file(MIXED_CSV), schema)
-        with pytest.raises(DataError, match="row 2: label 'yes' is not a number"):
+        with pytest.raises(DataError, match="line 3: label 'yes' is not a number"):
             encode_file(csv_file("city,temp,y\na,1,0\nb,2,yes\nc,3,2\n"), schema, vocab)
 
     def test_nan_label_is_not_a_number(self, csv_file):
         schema = mixed_schema()
         vocab = vocab_from(csv_file(MIXED_CSV), schema)
-        with pytest.raises(DataError, match="row 2: label 'nan' is not a number"):
+        with pytest.raises(DataError, match="line 3: label 'nan' is not a number"):
             encode_file(csv_file("city,temp,y\na,1,0\nb,2,nan\n"), schema, vocab)
 
     def test_inf_label_is_not_a_number(self, csv_file):
         schema = mixed_schema()
         vocab = vocab_from(csv_file(MIXED_CSV), schema)
-        with pytest.raises(DataError, match="row 2: label 'inf' is not a number"):
+        with pytest.raises(DataError, match="line 3: label 'inf' is not a number"):
             encode_file(csv_file("city,temp,y\na,1,0\nb,2,inf\n"), schema, vocab)
+
+    def test_label_line_counts_quoted_break_and_blank_line(self, csv_file):
+        schema = one_field_schema()
+        vocab = vocab_from(csv_file("f,y\na,1\n"), schema)
+        with pytest.raises(DataError, match="^line 5: label must be 0 or 1, got '2'$"):
+            encode_file(csv_file('f,y\n"a\nb",1\n\nc,2\n'), schema, vocab)
+
+    def test_plain_list_rows_rejected(self):
+        with pytest.raises(ContractError, match="Rows"):
+            build_vocab_rows(["f", "y"], [["a", "1"], ["b"]], one_field_schema())
 
     def test_label_two_named(self, csv_file):
         schema = mixed_schema()
         vocab = vocab_from(csv_file(MIXED_CSV), schema)
-        with pytest.raises(DataError, match="row 3: label must be 0 or 1, got '2'"):
+        with pytest.raises(DataError, match="line 4: label must be 0 or 1, got '2'"):
             encode_file(csv_file("city,temp,y\na,1,0\nb,2, 1\nc,3,2\n"), schema, vocab)
 
 
@@ -233,6 +243,32 @@ class TestReadTable:
         path.write_text("f,y\n\n")
         with pytest.raises(DataError, match="header.csv: no data rows"):
             read_table(path)
+
+    def test_short_row_named(self, csv_file):
+        path = csv_file("city,temp,y\na,1,0\nb,2,1\nc,3\n")
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: line 4: expected 3 columns, got 2")):
+            read_table(path)
+
+    def test_quoted_break_and_blank_line_count_toward_short_row_line(self, csv_file):
+        path = csv_file('f,y\n"a\nb",1\n\nc\n')
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: line 5: expected 2 columns, got 1")):
+            read_table(path)
+
+    def test_rows_keep_their_start_lines(self, csv_file):
+        header, rows = read_table(csv_file('f,y\n"a\nb",1\n\nc,0\nd,1\n'))
+        assert header == ["f", "y"]
+        assert rows == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
+        assert rows.lines == [2, 5, 6]
+
+    def test_take_keeps_each_rows_line(self, csv_file):
+        _, rows = read_table(csv_file("f,y\na,1\n\nb,0\nc,1\n"))
+        picked = rows.take(np.array([2, 0]))
+        assert isinstance(picked, Rows)
+        assert picked == [["c", "1"], ["a", "1"]]
+        assert picked.lines == [5, 2]
+        assert rows.lines == [2, 4, 5]
 
 
 class TestBatch:

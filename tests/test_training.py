@@ -105,6 +105,15 @@ class TestAuc:
         with pytest.raises(ContractError, match="^labels must be 0 or 1$"):
             auc([0.1, 0.2], [0.0, 2.0])
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([math.nan, 0.5], [1.0, 0.0]),
+        ([0.2, math.nan, 0.9], [1.0, 0.0, 1.0]),
+        ([math.inf, 0.5], [1.0, 0.0]),
+    ])
+    def test_non_finite_scores_rejected(self, scores, labels):
+        with pytest.raises(ContractError, match="^scores must be finite$"):
+            auc(scores, labels)
+
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(4)
         s = rng.normal(size=500)
