@@ -3,8 +3,9 @@
 The engine is deliberately small.  A :class:`Tensor` is a shaped float64
 buffer; a :class:`Graph` is an append-only tape of executed operations;
 ``Graph.backward`` walks the tape exactly once, in reverse execution
-order.  Graphs are rebuilt per forward pass, which keeps dynamically
-toggled architectures (ablation combinations) trivial.
+order, and drops each node once it has run, so a graph holds no
+activations afterwards.  Graphs are rebuilt per forward pass, which keeps
+dynamically toggled architectures (ablation combinations) trivial.
 
 Broadcasting is restricted on purpose: in binary elementwise ops only the
 second operand may broadcast to the first, through trailing alignment or
@@ -154,7 +155,9 @@ class Graph:
         self._spent = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
-        for out, bw in reversed(self._nodes):
+        nodes = self._nodes
+        while nodes:  # popping frees each node's activations once it has run
+            out, bw = nodes.pop()
             if out.grad is not None:
                 bw(out.grad)
 

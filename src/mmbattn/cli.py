@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -117,6 +119,20 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     return Path.cwd() / "runs" / Path(args.config).stem
 
 
+def _check_out(dirs, seeds) -> None:
+    """Refuse, before any data is read, an output path where a seed's run
+    directory under one of ``dirs`` cannot be made, raising the OSError
+    ``mkdir`` would.  Nothing is made, so a run that fails on its data
+    leaves no directory behind."""
+    for path in (d / f"seed_{seed}" for d in dirs for seed in seeds):
+        for p in (path, *path.parents):
+            if p.exists():
+                if not p.is_dir():
+                    code = errno.EEXIST if p == path else errno.ENOTDIR
+                    raise OSError(code, os.strerror(code), str(path))
+                break
+
+
 def _summarize(reports: dict[int, EvalReport]) -> dict[str, float]:
     aucs = np.array([r.auc for r in reports.values()])
     lls = np.array([r.logloss for r in reports.values()])
@@ -137,8 +153,9 @@ def _run_all_seeds(cfg: RunConfig, out_dir: Path,
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    prepared = prepare_data(cfg)
     out_dir = _out_dir(cfg, args)
+    _check_out([out_dir], cfg.seeds)
+    prepared = prepare_data(cfg)
     reports = _run_all_seeds(cfg, out_dir, prepared)
     for seed, rep in reports.items():
         print(f"seed {seed}: test auc {rep.auc:.5f} logloss {rep.logloss:.5f}")
@@ -171,8 +188,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    prepared = prepare_data(cfg)
     out_dir = _out_dir(cfg, args)
+    _check_out([out_dir / slug for _, slug, _ in ABLATION_ROWS], cfg.seeds)
+    prepared = prepare_data(cfg)
     rows = []
     base_auc = None
     for display, slug, toggles in ABLATION_ROWS:
@@ -217,8 +235,9 @@ def cmd_sweep(args) -> int:
             if any(run_cfg.values[key] == c.values[key] for c in run_cfgs):
                 raise ConfigError("repeats an earlier value")
             run_cfgs.append(run_cfg)
-    prepared = prepare_data(cfg)  # swept axes never affect data preparation
     out_dir = _out_dir(cfg, args)
+    _check_out([out_dir / f"{args.axis}_{value}" for value in values], cfg.seeds)
+    prepared = prepare_data(cfg)  # swept axes never affect data preparation
     rows = []
     for value, run_cfg in zip(values, run_cfgs):
         reports = _run_all_seeds(run_cfg, out_dir / f"{args.axis}_{value}", prepared)

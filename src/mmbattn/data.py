@@ -166,9 +166,13 @@ class Rows(list):
 
 
 def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
-    """Slurp a CSV file into (header, rows), refusing a row whose width is
-    not the header's; desk-scale datasets only."""
+    """Slurp a CSV file into (header, rows), refusing a blank header line and
+    a row whose width is not the header's; desk-scale datasets only.
+
+    Equal cells share one ``str``, so the vocabulary's keys pin a few
+    thousand strings, not the pages of every row read."""
     rows = Rows()
+    keep = {}.setdefault
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
@@ -176,6 +180,8 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
                 header = next(reader, None)
                 if header is None:
                     raise DataError(f"{path}: empty file")
+                if not header:
+                    raise DataError(f"{path}: line 1: empty header")
                 width = len(header)
                 add_row, add_line = rows.append, rows.lines.append
                 start = reader.line_num + 1
@@ -184,7 +190,7 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
                         if len(row) != width:
                             raise DataError(f"{path}: line {start}: expected {width} "
                                             f"columns, got {len(row)}")
-                        add_row(row)
+                        add_row(list(map(keep, row, row)))
                         add_line(start)
                     start = reader.line_num + 1
             except csv.Error as exc:

@@ -104,28 +104,43 @@ EPS = 1e-8
 
 
 def init_adam_state(params: dict[str, np.ndarray]
-                    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    return {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+                    ) -> dict[str, tuple[np.ndarray, ...]]:
+    """Per named array: the moments ``m`` and ``v``, then two scratch
+    vectors of its size, so a step makes no full-length temporary."""
+    return {name: tuple(np.zeros_like(p) for _ in range(4))
+            for name, p in params.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: dict[str, tuple[np.ndarray, np.ndarray]],
+              state: dict[str, tuple[np.ndarray, ...]],
               config: TrainConfig, t: int) -> None:
     """One bias-corrected Adam update per named array, in place.
 
-    ``train`` passes ``Model.params`` as one entry: one vectorised update."""
+    ``train`` passes ``Model.params`` as one entry: one vectorised update.
+    Each ufunc writes into the state's scratch, in the order of
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so the bits are that
+    expression's."""
     if t < 1:
         raise ContractError("Adam step index t must be >= 1")
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
-        m, v = state[name]
+        m, v, a, b = state[name]
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        np.multiply(g, 1.0 - BETA1, out=a)
+        m += a
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + EPS)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - BETA2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= config.learning_rate
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        p -= a
 
 
 # -- evaluation ----------------------------------------------------------

@@ -1,11 +1,15 @@
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor, stable_sigmoid
+from mmbattn.data import SynthSpec, synth_generate
 from mmbattn.errors import ContractError, DimensionError
+from mmbattn.model import TowerConfig, build
 from mmbattn.training import bce_with_logits
 
 
@@ -261,6 +265,56 @@ class TestBackward:
         g = Graph()
         g.backward(g.reduce_mean(g.mul(w, w), 0))
         assert w.grad.tolist() == [6.0]
+
+
+class TestTapeRelease:
+    """``backward`` drops each node once it has run."""
+
+    def model_and_batch(self):
+        spec = SynthSpec(n_rows=200, cardinalities=(3, 4, 5), informative=(0,), seed=2)
+        train, *_ = synth_generate(spec)
+        model = build(spec.schema(), spec.vocabulary(), 3, MMBAttnConfig(reduction_ratio=2),
+                      TowerConfig((6, 4)), seed=1)
+        return model, train.take(slice(0, 64))
+
+    def test_backward_empties_the_tape_and_frees_activations(self):
+        model, batch = self.model_and_batch()
+        products = []
+
+        class Recording(Graph):
+            def matmul(self, a, b):
+                out = super().matmul(a, b)
+                products.append(weakref.ref(out.data))
+                return out
+
+        g = Recording()
+        logits = model.forward_logits(g, batch)
+        loss = bce_with_logits(g, logits, batch.labels)
+        assert products and all(ref() is not None for ref in products)
+        g.backward(loss)
+        assert g._nodes == []
+        assert [ref() for ref in products] == [None] * len(products)
+        assert logits.grad is not None  # a tensor the caller holds keeps its gradient
+
+    def test_gradients_match_a_walk_over_the_kept_tape(self):
+        def kept(g, loss):  # the same walk, with every node left on the tape
+            loss.grad = np.ones_like(loss.data)
+            for out, bw in reversed(g._nodes):
+                if out.grad is not None:
+                    bw(out.grad)
+
+        def grads(walk):
+            model, batch = self.model_and_batch()
+            x = Tensor(np.random.default_rng(0).normal(size=(batch.n, 2)),
+                       requires_grad=True)  # a leaf that is not a parameter
+            g = Graph()
+            logits = g.add(model.forward_logits(g, batch),
+                           g.reshape(g.reduce_mean(g.mul(x, x), 1), (batch.n,)))
+            model.zero_grad()
+            walk(g, bce_with_logits(g, logits, batch.labels))
+            return model.grads.tobytes() + x.grad.tobytes()
+
+        assert grads(Graph.backward) == grads(kept)
 
 
 class TestProperties:

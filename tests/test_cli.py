@@ -119,6 +119,28 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {out / 'seed_1'}: Not a directory\n"
 
+    @pytest.mark.parametrize("argv, run_dir", [
+        (["train"], "seed_1"),
+        (["ablate"], "base/seed_1"),
+        (["sweep", "--axis", "reduction_ratio", "--values", "2,3"], "reduction_ratio_2/seed_1"),
+    ], ids=["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("file_at, reason", [("out", "Not a directory"),
+                                                 ("run_dir", "File exists")])
+    def test_bad_out_refused_before_data_is_read(self, tmp_path, capsys, monkeypatch,
+                                                 argv, run_dir, file_at, reason):
+        def prepare_data(cfg):
+            pytest.fail("prepare_data ran for an --out where no run directory can be made")
+
+        monkeypatch.setattr(cli, "prepare_data", prepare_data)
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        blocker = out / run_dir if file_at == "run_dir" else out
+        blocker.parent.mkdir(parents=True, exist_ok=True)
+        blocker.write_text("")
+        assert cli.main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {out / run_dir}: {reason}\n"
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("flags, extra", [
         (["--seed", "1", "--seed", "1"], {}),
         ([], {"run.seeds": "1,2,1"}),

@@ -238,6 +238,18 @@ class TestReadTable:
         with pytest.raises(DataError, match="empty.csv: empty file$"):
             read_table(path)
 
+    def test_blank_first_line_is_an_empty_header(self, csv_file):
+        path = csv_file("\nf,y\na,1\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 1: empty header") + "$"):
+            read_table(path)
+
+    def test_equal_cells_share_one_string(self, csv_file):
+        _, rows = read_table(csv_file("f,g,y\nab,ab,1\ncd,ab,0\nab,cd,1\n"))
+        assert rows == [["ab", "ab", "1"], ["cd", "ab", "0"], ["ab", "cd", "1"]]
+        cells = [cell for row in rows for cell in row]
+        assert len({id(c) for c in cells}) == len(set(cells)) == 4
+        assert rows[0][0] is rows[2][0] and rows[0][2] is rows[2][2]
+
     def test_header_only_file_names_file(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("f,y\n\n")

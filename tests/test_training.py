@@ -152,6 +152,27 @@ class TestAdam:
             adam_step(reg, {"w": grad}, state, cfg, t)
         assert float(np.sum((reg["w"] - target) ** 2)) < 1e-3
 
+    def test_matches_the_temporary_making_expression_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        grads = rng.normal(size=(5, 64)) * np.logspace(-30, 150, 64)
+        grads[:, :4] = [0.0, -0.0, 1e150, -1e150]
+        p = rng.normal(size=64)
+        p[:2] = [0.0, -0.0]
+        reg, (m, v) = {"w": p.copy()}, (np.zeros(64), np.zeros(64))
+        state = init_adam_state(reg)
+        cfg = TrainConfig(learning_rate=0.003)
+        for t, g in enumerate(grads, start=1):
+            adam_step(reg, {"w": g}, state, cfg, t)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * (g * g)
+            p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            got_m, got_v = state["w"][:2]
+            assert (reg["w"].tobytes(), got_m.tobytes(), got_v.tobytes()) == \
+                (p.tobytes(), m.tobytes(), v.tobytes())
+
     def test_step_index_validated(self):
         reg = self.make_registry([1.0])
         with pytest.raises(ContractError):
