@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .autograd import Graph, Tensor
 from .errors import ConfigError, ContractError
-from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -73,28 +70,6 @@ class AttnParams:
     mean_w2: Tensor | None = None
     bit_w1: Tensor | None = None
     bit_w2: Tensor | None = None
-
-
-def init_attn_params(config: MMBAttnConfig, n_fields: int, d: int,
-                     seed: int) -> dict[str, np.ndarray]:
-    """Seeded Normal(0, 1/C) weights keyed ``attn.<branch>.<part>``.
-
-    C is the branch input width.  Weights are stored (in, out) like the
-    tower's: ``w1`` is (C, h) and ``w2`` is (h, C).  Each is drawn with shape
-    (out, in), as earlier releases stored it, then transposed, so initial
-    values match.
-    """
-    out: dict[str, np.ndarray] = {}
-    for branch, on, c in (("max", config.use_max, n_fields),
-                          ("mean", config.use_mean, n_fields),
-                          ("bit", config.use_bitwise, n_fields * d)):
-        if on:
-            h = hidden_width(c, config.reduction_ratio)
-            for part, shape in (("w1", (h, c)), ("w2", (c, h))):
-                name = f"attn.{branch}.{part}"
-                rng = np.random.default_rng(derive_seed(seed, f"init:{name}"))
-                out[name] = rng.normal(0.0, 1.0 / np.sqrt(c), size=shape).T
-    return out
 
 
 def pool(g: Graph, e: Tensor, kind: str) -> Tensor:

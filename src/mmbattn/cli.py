@@ -142,10 +142,17 @@ def _summarize(reports: dict[int, EvalReport]) -> dict[str, float]:
             "logloss_std": float(lls.std())}
 
 
-def _run_all_seeds(cfg: RunConfig, out_dir: Path,
-                   prepared: PreparedData) -> dict[int, EvalReport]:
-    return {seed: run_single(cfg, seed, out_dir / f"seed_{seed}", prepared)
-            for seed in cfg.seeds}
+def _run_grid(cfg: RunConfig, args, runs) -> tuple[Path, list[dict[int, EvalReport]]]:
+    """Train every seed of each ``(subdirectory, config)`` run on data
+    prepared once from ``cfg``; returns the output directory and each run's
+    reports by seed.  An output path where a run directory cannot be made is
+    refused before any data is read.  No run's overrides may affect data
+    preparation."""
+    out_dir = _out_dir(cfg, args)
+    _check_out([out_dir / sub for sub, _ in runs], cfg.seeds)
+    prepared = prepare_data(cfg)
+    return out_dir, [{seed: run_single(run_cfg, seed, out_dir / sub / f"seed_{seed}", prepared)
+                      for seed in cfg.seeds} for sub, run_cfg in runs]
 
 
 # -- commands ---------------------------------------------------------------
@@ -153,10 +160,7 @@ def _run_all_seeds(cfg: RunConfig, out_dir: Path,
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    out_dir = _out_dir(cfg, args)
-    _check_out([out_dir], cfg.seeds)
-    prepared = prepare_data(cfg)
-    reports = _run_all_seeds(cfg, out_dir, prepared)
+    out_dir, (reports,) = _run_grid(cfg, args, [("", cfg)])
     for seed, rep in reports.items():
         print(f"seed {seed}: test auc {rep.auc:.5f} logloss {rep.logloss:.5f}")
     s = _summarize(reports)
@@ -176,10 +180,11 @@ def cmd_evaluate(args) -> int:
     seed = cfg.seeds[0]
     path = Path(args.checkpoint) if args.checkpoint else \
         _out_dir(cfg, args) / f"seed_{seed}" / "checkpoint.mmbc"
+    checkpoint = ckpt.load_checkpoint(path)
     prepared = prepare_data(cfg)
     model = _build_model(cfg, seed, prepared)
-    ckpt.restore_model(model, ckpt.load_checkpoint(path),
-                       expected_digest=cfg.digest(seed), force=args.force)
+    ckpt.restore_model(model, checkpoint, expected_digest=cfg.digest(seed),
+                       force=args.force)
     report = evaluate(model, prepared.test)
     print(json.dumps({"split": "test", "auc": report.auc,
                       "logloss": report.logloss, "n": report.n}, sort_keys=True))
@@ -188,17 +193,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    out_dir = _out_dir(cfg, args)
-    _check_out([out_dir / slug for _, slug, _ in ABLATION_ROWS], cfg.seeds)
-    prepared = prepare_data(cfg)
-    rows = []
-    base_auc = None
-    for display, slug, toggles in ABLATION_ROWS:
-        combo_cfg = cfg.override({
+    out_dir, grid = _run_grid(cfg, args, [
+        (slug, cfg.override({
             key: "true" if on else "false"
             for key, on in zip(("attn.use_max", "attn.use_mean", "attn.use_bitwise"),
-                               toggles)})
-        reports = _run_all_seeds(combo_cfg, out_dir / slug, prepared)
+                               toggles)}))
+        for _, slug, toggles in ABLATION_ROWS])
+    rows = []
+    base_auc = None
+    for (display, slug, _), reports in zip(ABLATION_ROWS, grid):
         s = _summarize(reports)
         if slug == "base":
             base_auc = s["auc_mean"]
@@ -228,20 +231,15 @@ def cmd_sweep(args) -> int:
     values = [part.strip() for part in args.values.split(",") if part.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
-    run_cfgs = []
+    runs = []
     for value in values:
         with naming(f"{args.config}: --values {value}"):
             run_cfg = cfg.override({key: value})
-            if any(run_cfg.values[key] == c.values[key] for c in run_cfgs):
+            if any(run_cfg.values[key] == c.values[key] for _, c in runs):
                 raise ConfigError("repeats an earlier value")
-            run_cfgs.append(run_cfg)
-    out_dir = _out_dir(cfg, args)
-    _check_out([out_dir / f"{args.axis}_{value}" for value in values], cfg.seeds)
-    prepared = prepare_data(cfg)  # swept axes never affect data preparation
-    rows = []
-    for value, run_cfg in zip(values, run_cfgs):
-        reports = _run_all_seeds(run_cfg, out_dir / f"{args.axis}_{value}", prepared)
-        rows.append({"value": value, **_summarize(reports)})
+            runs.append((f"{args.axis}_{value}", run_cfg))
+    out_dir, grid = _run_grid(cfg, args, runs)
+    rows = [{"value": value, **_summarize(reports)} for value, reports in zip(values, grid)]
     print(f"{args.axis:>16}  {'AUC':>8}  {'LogLoss':>8}")
     for r in rows:
         print(f"{r['value']:>16}  {r['auc_mean']:>8.5f}  {r['logloss_mean']:>8.5f}")

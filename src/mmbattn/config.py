@@ -23,7 +23,7 @@ from .training import TrainConfig
 def parse_kv(path) -> dict[str, str]:
     """Parse a key-value config file into an ordered dict."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:

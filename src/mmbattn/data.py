@@ -174,7 +174,7 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
     rows = Rows()
     keep = {}.setdefault
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             try:
                 header = next(reader, None)

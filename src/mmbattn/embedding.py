@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Graph, Tensor
-from .data import Batch, FieldSchema, Vocabulary
-from .errors import ConfigError, ContractError
-from .seeding import derive_seed
-
-INIT_STD = 0.01
+from .data import Batch
+from .errors import ContractError
 
 
 class EmbeddingTable:
@@ -26,18 +23,6 @@ class EmbeddingTable:
             raise ContractError(f"need one size per field for a {table.shape} table")
         self.offsets = np.cumsum(self.sizes) - self.sizes
         self.table = table
-
-
-def init_embeddings(schema: FieldSchema, vocab: Vocabulary, d: int,
-                    seed: int) -> dict[str, np.ndarray]:
-    """Seeded Normal(0, 0.01^2) (V_f × d) tables keyed ``embed.<field>``.
-
-    Row 0 (OOV) is initialized like any row."""
-    if d < 1:
-        raise ConfigError("model.embedding_dim must be >= 1")
-    return {f"embed.{name}": np.random.default_rng(derive_seed(seed, f"init:embed.{name}"))
-            .normal(0.0, INIT_STD, size=(size, d))
-            for name, size in zip(schema.field_names, vocab.sizes)}
 
 
 def lookup(g: Graph, emb: EmbeddingTable, batch: Batch) -> Tensor:

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttnParams, MMBAttnConfig, apply_attention, init_attn_params
+from .attention import AttnParams, MMBAttnConfig, apply_attention, hidden_width
 from .autograd import Graph, Tensor
 from .data import Batch, FieldSchema, Vocabulary
-from .embedding import EmbeddingTable, init_embeddings, lookup
+from .embedding import EmbeddingTable, lookup
 from .errors import ConfigError
 from .seeding import derive_seed
 
@@ -103,13 +103,32 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
           attn: MMBAttnConfig, tower: TowerConfig, seed: int) -> Model:
     """Deterministic model construction with a documented registry order.
 
-    Attention off is ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``."""
-    arrays = init_embeddings(schema, vocab, d, seed)
-    arrays.update(init_attn_params(attn, schema.n_fields, d, seed))
+    Every initial array is drawn here from its own ``init:<name>`` stream:
+    embedding tables Normal(0, 0.01^2), row 0 (OOV) like any row; attention
+    branch weights Normal(0, 1/C) for branch input width C, drawn (out, in)
+    as earlier releases stored them, then transposed to (in, out); tower
+    weights Normal(0, 1/fan_in) and zero biases.  Attention off is
+    ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``."""
+    if d < 1:
+        raise ConfigError("model.embedding_dim must be >= 1")
+
+    def draw(name: str, std: float, shape: tuple[int, int]) -> np.ndarray:
+        return np.random.default_rng(derive_seed(seed, f"init:{name}")).normal(
+            0.0, std, size=shape)
+
+    arrays = {f"embed.{name}": draw(f"embed.{name}", 0.01, (size, d))
+              for name, size in zip(schema.field_names, vocab.sizes)}
+    for branch, on, c in (("max", attn.use_max, schema.n_fields),
+                          ("mean", attn.use_mean, schema.n_fields),
+                          ("bit", attn.use_bitwise, schema.n_fields * d)):
+        if on:
+            h = hidden_width(c, attn.reduction_ratio)
+            for part, shape in (("w1", (h, c)), ("w2", (c, h))):
+                name = f"attn.{branch}.{part}"
+                arrays[name] = draw(name, 1.0 / np.sqrt(c), shape).T
     widths = [schema.n_fields * d, *tower.hidden_sizes, 1]
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        rng = np.random.default_rng(derive_seed(seed, f"init:tower.{i}.weight"))
-        arrays[f"tower.{i}.weight"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                                                 size=(fan_in, fan_out))
+        arrays[f"tower.{i}.weight"] = draw(f"tower.{i}.weight", 1.0 / np.sqrt(fan_in),
+                                           (fan_in, fan_out))
         arrays[f"tower.{i}.bias"] = np.zeros(fan_out)
     return Model(arrays, attn)

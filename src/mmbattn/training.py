@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -155,7 +154,8 @@ class EvalReport:
 
 
 def eval_thread_count() -> int:
-    """Always 1: threaded evaluation measured slower than one thread.
+    """Always 1: evaluation runs on the caller's thread (two threads
+    measured slower than one).
 
     Kept, with ``evaluate(threads=)`` and ``train(eval_threads=)``, only
     because the benchmark harness still passes them."""
@@ -164,24 +164,18 @@ def eval_thread_count() -> int:
 
 def evaluate(model: Model, data: Batch, batch_size: int = EVAL_BATCH_SIZE,
              threads: int = 1) -> EvalReport:
-    """Score a dataset in ``batch_size`` batches, in order, then rank.
+    """Score a dataset in ``batch_size`` batches, in order, on the caller's
+    thread, then rank.
 
-    ``threads > 1`` scores the same batches on a thread pool, so the
-    result does not depend on it.  A non-finite logit raises
-    TrainingError naming its row and the first non-finite parameter group."""
+    ``threads`` is accepted and ignored, only because the benchmark harness
+    still passes it.  A non-finite logit raises TrainingError naming its row
+    and the first non-finite parameter group."""
     if data.n == 0:
         raise ContractError("cannot evaluate an empty dataset")
     keep_freed_memory()
 
-    def logits_of(batch: Batch) -> np.ndarray:
-        return model.forward_logits(Graph(record=False), batch).data
-
-    if threads <= 1:
-        parts = list(map(logits_of, batches(data, batch_size)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(logits_of, batches(data, batch_size)))
-    logits = np.concatenate(parts)
+    logits = np.concatenate([model.forward_logits(Graph(record=False), batch).data
+                             for batch in batches(data, batch_size)])
     if not np.isfinite(logits).all():
         bad = [name for name, t in model.registry.items() if not np.isfinite(t.data).all()]
         raise TrainingError(f"non-finite logit at row {np.argmin(np.isfinite(logits))}, "
@@ -208,7 +202,9 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     loss goes non-finite; an error while scoring a split (a non-finite
     logit, a one-class split) names the epoch and the split.  Training steps
     with small GEMMs run on one BLAS thread; evaluation keeps the
-    library's default count.  An empty train split raises ContractError.
+    library's default count.  ``eval_threads`` is accepted and ignored, only
+    because the benchmark harness still passes it.  An empty train split
+    raises ContractError.
     """
     if train_data.n == 0:
         raise ContractError("cannot train on an empty dataset")
@@ -227,7 +223,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
 
     def score(data: Batch, split: str) -> EvalReport:
         with naming(f"epoch {epoch}, {split} split"):
-            return evaluate(model, data, threads=eval_threads)
+            return evaluate(model, data)
 
     for epoch in range(1, config.max_epochs + 1):
         tick = time.perf_counter()

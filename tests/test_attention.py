@@ -6,7 +6,7 @@ import pytest
 from mmbattn import attention
 from mmbattn.attention import (ABLATION_ROWS, AttnParams, MMBAttnConfig,
                                apply_attention, bitwise_attention, branch_attention,
-                               hidden_width, init_attn_params, param_count, pool)
+                               hidden_width, param_count, pool)
 from mmbattn.autograd import Graph, Tensor
 from mmbattn.data import CATEGORICAL, FieldSchema, Vocabulary
 from mmbattn.errors import ConfigError
@@ -31,11 +31,17 @@ def zero_params(n_fields, d, config):
     return p
 
 
+def build_attn(config, n_fields, d, seed):
+    """A model ``build`` makes with ``config`` over ``n_fields`` one-value fields."""
+    schema = FieldSchema(fields=tuple((f"f{i}", CATEGORICAL) for i in range(n_fields)),
+                         label_column="y")
+    vocab = Vocabulary([{"a": 1}] * n_fields, [None] * n_fields)
+    return build(schema, vocab, d, config, TowerConfig((1,)), seed)
+
+
 def attn_params(config, n_fields, d, seed):
-    """``init_attn_params``' arrays as the AttnParams the module reads."""
-    arrays = init_attn_params(config, n_fields, d, seed)
-    return AttnParams(**{name[len("attn."):].replace(".", "_"): Tensor(a, requires_grad=True)
-                         for name, a in arrays.items()})
+    """``build``'s initial attention weights, as the AttnParams the module reads."""
+    return build_attn(config, n_fields, d, seed).attn_params
 
 
 def injected(monkeypatch, e, w_mm=None, w_bit=None):
@@ -351,7 +357,8 @@ class TestConfigAndCounts:
         cfg = MMBAttnConfig(use_max=use_max, use_mean=use_mean, use_bitwise=use_bit,
                             reduction_ratio=3)
         f, d = 7, 4
-        total = sum(a.size for a in init_attn_params(cfg, f, d, seed=2).values())
+        total = sum(t.size for name, t in build_attn(cfg, f, d, seed=2).registry.items()
+                    if name.startswith("attn."))
         assert total == param_count(cfg, f, d)
 
     def test_param_count_formula_value(self):

@@ -199,6 +199,19 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "checkpoint.mmbc" in err
 
+    def test_missing_checkpoint_refused_before_data_is_read(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def prepare_data(cfg):
+            pytest.fail("prepare_data ran before the checkpoint was opened")
+
+        monkeypatch.setattr(cli, "prepare_data", prepare_data)
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        path = tmp_path / "out" / "seed_1" / "checkpoint.mmbc"
+        assert cli.main(["evaluate", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: {path}: cannot read "
+                                           f"(No such file or directory)\n")
+
 
 class TestAblateCommand:
     def test_six_rows_and_base_formatting(self, tmp_path, capsys):

@@ -58,6 +58,15 @@ class TestParseKv:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:2: duplicate")):
             parse_kv(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = conf_file(tmp_path, "\ufeffrun.seeds = 1\na.b 2\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: expected 'key = value'")):
+            parse_kv(path)
+        assert parse_kv(conf_file(tmp_path, "\ufeffrun.seeds = 1\n")) == {"run.seeds": "1"}
+        (tmp_path / "run.conf").write_text("\ufeff" + TINY, encoding="utf-8")
+        (tmp_path / "synth.conf").write_text(SYNTH, encoding="utf-8")
+        assert load_run_config(tmp_path / "run.conf").seeds == (1, 2)
+
     def test_missing_file_named(self, tmp_path):
         with pytest.raises(ConfigError, match="missing.conf: cannot read"):
             parse_kv(tmp_path / "missing.conf")

@@ -274,6 +274,19 @@ class TestReadTable:
         assert rows == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
         assert rows.lines == [2, 5, 6]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, csv_file):
+        # a UTF-8 BOM, as some spreadsheet exports write, leaves the first
+        # column's name and every row's line number as without it
+        header, rows = read_table(csv_file('\ufefff,y\n"a\nb",1\n\nc,0\nd,1\n'))
+        assert header == ["f", "y"]
+        assert rows == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
+        assert rows.lines == [2, 5, 6]
+        assert vocab_from(csv_file("\ufefff,y\na,1\nb,0\n"), one_field_schema()).sizes == [3]
+        path = csv_file("\ufefff,y\na,1\n\nb\n")
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: line 4: expected 2 columns, got 1")):
+            read_table(path)
+
     def test_take_keeps_each_rows_line(self, csv_file):
         _, rows = read_table(csv_file("f,y\na,1\n\nb,0\nc,1\n"))
         picked = rows.take(np.array([2, 0]))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor
 from mmbattn.data import CATEGORICAL, Batch, FieldSchema, Vocabulary
-from mmbattn.embedding import EmbeddingTable, init_embeddings, lookup
+from mmbattn.embedding import EmbeddingTable, lookup
 from mmbattn.errors import ConfigError, ContractError
+from mmbattn.model import TowerConfig, build
+from mmbattn.seeding import derive_seed
 
 
 def schema_of(n_fields):
@@ -15,6 +18,13 @@ def schema_of(n_fields):
 def vocab_of(sizes):
     return Vocabulary([{f"v{k}": k + 1 for k in range(s - 1)} for s in sizes],
                       [None] * len(sizes))
+
+
+def initial_tables(schema, vocab, d, seed):
+    """``build``'s initial embedding tables, keyed by registry name."""
+    attn = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
+    model = build(schema, vocab, d, attn, TowerConfig((1,)), seed)
+    return {name: t.data for name, t in model.registry.items() if name.startswith("embed.")}
 
 
 def batch_of(indices):
@@ -120,22 +130,34 @@ class TestLookup:
 class TestInit:
     def test_same_seed_identical(self):
         schema, vocab = schema_of(2), vocab_of([5, 7])
-        a = init_embeddings(schema, vocab, 3, seed=4)
-        b = init_embeddings(schema, vocab, 3, seed=4)
+        a = initial_tables(schema, vocab, 3, seed=4)
+        b = initial_tables(schema, vocab, 3, seed=4)
         assert list(a) == list(b) == ["embed.f0", "embed.f1"]
         assert all(np.array_equal(a[name], b[name]) for name in a)
-        c = init_embeddings(schema, vocab, 3, seed=5)
+        c = initial_tables(schema, vocab, 3, seed=5)
         assert not np.array_equal(a["embed.f0"], c["embed.f0"])
 
     def test_statistics(self):
-        # 10k entries ~ N(0, 0.01^2): sample mean within 3 sigma of zero
+        # 10k entries ~ N(0, 0.01^2): sample mean within 3 sigma of zero, and
+        # sample std within 5% of 0.01 (its standard error is about 0.7%)
         vocab = vocab_of([2500])
-        table = init_embeddings(schema_of(1), vocab, 4, seed=0)["embed.f0"]
+        table = initial_tables(schema_of(1), vocab, 4, seed=0)["embed.f0"]
         assert table.shape == (2500, 4)
         assert abs(table.mean()) < 3 * 0.01 / np.sqrt(10000)
+        assert abs(table.std() - 0.01) < 0.05 * 0.01
+
+    def test_each_field_draws_from_its_own_stream(self):
+        # a field's table is its own ``init:embed.<field>`` draw, so adding a
+        # field or resizing another leaves it unchanged
+        one = initial_tables(schema_of(1), vocab_of([4]), 3, seed=6)
+        two = initial_tables(schema_of(2), vocab_of([4, 9]), 3, seed=6)
+        rng = np.random.default_rng(derive_seed(6, "init:embed.f0"))
+        assert np.array_equal(one["embed.f0"], rng.normal(0.0, 0.01, size=(4, 3)))
+        assert np.array_equal(one["embed.f0"], two["embed.f0"])
+        assert not np.array_equal(two["embed.f0"], two["embed.f1"][:4])
 
     def test_d_one_runs(self):
-        tables = init_embeddings(schema_of(2), vocab_of([3, 3]), 1, seed=1)
+        tables = initial_tables(schema_of(2), vocab_of([3, 3]), 1, seed=1)
         emb = EmbeddingTable(("f0", "f1"), [3, 3],
                              Tensor(np.concatenate(list(tables.values()))))
         out = lookup(Graph(), emb, batch_of([[1, 2]]))
@@ -143,4 +165,4 @@ class TestInit:
 
     def test_bad_dimension(self):
         with pytest.raises(ConfigError):
-            init_embeddings(schema_of(1), vocab_of([3]), 0, seed=1)
+            initial_tables(schema_of(1), vocab_of([3]), 0, seed=1)

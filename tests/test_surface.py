@@ -12,7 +12,9 @@ helper that shares its name with something else in use (say a method
 still counts as used.
 
 A second check lists the names that only ``perfbench/`` references, so
-that what the package keeps just for the benchmark is written down.
+that what the package keeps just for the benchmark is written down. A
+third records that the package runs on the caller's thread (BLAS threads
+aside): no module imports a thread or process pool.
 """
 
 import ast
@@ -87,3 +89,19 @@ def test_only_the_listed_names_are_kept_for_the_benchmark():
     bench_only = {name for name in _defined()
                   if name in by_bench and name not in by_package}
     assert bench_only == set(BENCHMARK_ONLY)
+
+
+def test_no_module_starts_threads_or_processes():
+    banned = ("concurrent", "threading", "multiprocessing")
+    found = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] in banned]
+    assert not found, f"the package runs on the caller's thread: {found}"
