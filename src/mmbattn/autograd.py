@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 # Sigmoid outputs are clamped to the open interval (0, 1): extreme logits
 # saturate at the nearest representable value instead of exactly 0 or 1.
@@ -93,11 +93,11 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _check_broadcast(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> None:
     if len(b_shape) > len(a_shape):
-        raise DimensionError(f"cannot broadcast {b_shape} to {a_shape}")
+        raise ContractError(f"cannot broadcast {b_shape} to {a_shape}")
     pad = len(a_shape) - len(b_shape)
     for da, db in zip(a_shape[pad:], b_shape):
         if db != da and db != 1:
-            raise DimensionError(f"cannot broadcast {b_shape} to {a_shape}")
+            raise ContractError(f"cannot broadcast {b_shape} to {a_shape}")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -165,9 +165,9 @@ class Graph:
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.ndim != 2 or b.data.ndim != 2:
-            raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
+            raise ContractError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
         if a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+            raise ContractError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
@@ -204,7 +204,7 @@ class Graph:
 
     def _check_axis(self, a: Tensor, axis: int) -> None:
         if not 0 <= axis < a.data.ndim:
-            raise DimensionError(f"axis {axis} out of range for shape {a.shape}")
+            raise ContractError(f"axis {axis} out of range for shape {a.shape}")
 
     def reduce_mean(self, a: Tensor, axis: int) -> Tensor:
         self._check_axis(a, axis)
@@ -252,7 +252,7 @@ class Graph:
     def reshape(self, a: Tensor, shape: Sequence[int]) -> Tensor:
         new_shape = tuple(int(s) for s in shape)
         if int(np.prod(new_shape, dtype=np.int64)) != a.size:
-            raise DimensionError(f"cannot reshape {a.shape} to {new_shape}")
+            raise ContractError(f"cannot reshape {a.shape} to {new_shape}")
 
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:

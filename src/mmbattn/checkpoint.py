@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .errors import CheckpointError, ContractError
+from .errors import CheckpointError, ContractError, reading
 
 MAGIC = b"MMBC"
 # Version 2 stores attention weights (in, out).  Version 1 files held them
@@ -69,54 +69,47 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-class _Cursor:
-    def __init__(self, blob: bytes, origin: str):
-        self.blob = blob
-        self.pos = 0
-        self.origin = origin
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointError(
-                f"{self.origin}: truncated checkpoint, needed {n} bytes at byte {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path) -> Checkpoint:
-    try:
+    with reading(path, CheckpointError):
         blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read ({exc.strerror or exc})") from None
-    cur = _Cursor(blob, str(path))
-    if cur.take(4) != MAGIC:
+    pos = 0
+
+    def take(n: int) -> int:
+        """Move past the next ``n`` bytes; returns where they start."""
+        nonlocal pos
+        if pos + n > len(blob):
+            raise CheckpointError(
+                f"{path}: truncated checkpoint, needed {n} bytes at byte {pos}")
+        pos += n
+        return pos - n
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack_from(fmt, blob, take(struct.calcsize(fmt)))
+
+    if unpack("4s") != (MAGIC,):
         raise CheckpointError(f"{path}: bad magic at byte 0")
-    (version,) = cur.unpack("<H")
+    (version,) = unpack("<H")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    digest = cur.take(32)
-    (count,) = cur.unpack("<I")
+    (digest,) = unpack("32s")
+    (count,) = unpack("<I")
     entries: list[tuple[str, tuple[int, ...], int]] = []
     for _ in range(count):
-        (name_len,) = cur.unpack("<H")
-        at = cur.pos
+        (name_len,) = unpack("<H")
+        at = pos
         try:
-            name = cur.take(name_len).decode("utf-8")
+            name = unpack(f"{name_len}s")[0].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: parameter name is not UTF-8 "
                                   f"at byte {at + exc.start}") from None
-        (ndim,) = cur.unpack("<B")
-        shape = tuple(cur.unpack(f"<{ndim}I")) if ndim else ()
-        (offset,) = cur.unpack("<Q")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        (offset,) = unpack("<Q")
         entries.append((name, shape, offset))
-    (total,) = cur.unpack("<Q")
-    payload_bytes = cur.take(total * 8)
-    if cur.pos != len(blob):
-        raise CheckpointError(f"{path}: trailing garbage at byte {cur.pos}")
+    (total,) = unpack("<Q")
+    payload = np.frombuffer(blob, "<f8", count=total, offset=take(total * 8))
+    if pos != len(blob):
+        raise CheckpointError(f"{path}: trailing garbage at byte {pos}")
     expected = 0
     for name, shape, offset in entries:
         if offset != expected:
@@ -126,7 +119,6 @@ def load_checkpoint(path) -> Checkpoint:
     if expected != total:
         raise CheckpointError(f"{path}: manifest covers {expected} elements, "
                               f"payload has {total}")
-    payload = np.frombuffer(payload_bytes, dtype="<f8").astype(np.float64)
     return Checkpoint(digest=digest, entries=entries, payload=payload)
 
 

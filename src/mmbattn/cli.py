@@ -177,17 +177,23 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    seed = cfg.seeds[0]
-    path = Path(args.checkpoint) if args.checkpoint else \
-        _out_dir(cfg, args) / f"seed_{seed}" / "checkpoint.mmbc"
-    checkpoint = ckpt.load_checkpoint(path)
+    if args.checkpoint:
+        if len(cfg.seeds) > 1:
+            raise ConfigError(f"--checkpoint names one checkpoint, so it takes one "
+                              f"seed, got {len(cfg.seeds)}")
+        paths = [Path(args.checkpoint)]
+    else:
+        paths = [_out_dir(cfg, args) / f"seed_{seed}" / "checkpoint.mmbc"
+                 for seed in cfg.seeds]
+    checkpoints = [ckpt.load_checkpoint(path) for path in paths]
     prepared = prepare_data(cfg)
-    model = _build_model(cfg, seed, prepared)
-    ckpt.restore_model(model, checkpoint, expected_digest=cfg.digest(seed),
-                       force=args.force)
-    report = evaluate(model, prepared.test)
-    print(json.dumps({"split": "test", "auc": report.auc,
-                      "logloss": report.logloss, "n": report.n}, sort_keys=True))
+    for seed, checkpoint in zip(cfg.seeds, checkpoints):
+        model = _build_model(cfg, seed, prepared)
+        ckpt.restore_model(model, checkpoint, expected_digest=cfg.digest(seed),
+                           force=args.force)
+        report = evaluate(model, prepared.test)
+        print(json.dumps({"seed": seed, "split": "test", "auc": report.auc,
+                          "logloss": report.logloss, "n": report.n}, sort_keys=True))
     return 0
 
 
@@ -316,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--out", default=None, help="output directory")
         if name == "evaluate":
             sp.add_argument("--checkpoint", default=None,
-                            help="checkpoint path (default: <out>/seed_<s>/checkpoint.mmbc)")
+                            help="checkpoint path for a single seed "
+                                 "(default: <out>/seed_<s>/checkpoint.mmbc per seed)")
             sp.add_argument("--force", action="store_true",
                             help="ignore checkpoint/config digest mismatches")
         if name == "sweep":

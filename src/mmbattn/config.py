@@ -15,19 +15,15 @@ from pathlib import Path
 
 from .attention import MMBAttnConfig
 from .data import CATEGORICAL, NUMERIC, FieldSchema, SynthSpec
-from .errors import ConfigError, naming
+from .errors import ConfigError, naming, reading
 from .model import TowerConfig
 from .training import TrainConfig
 
 
 def parse_kv(path) -> dict[str, str]:
     """Parse a key-value config file into an ordered dict."""
-    try:
+    with reading(path, ConfigError):
         text = Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read ({exc.strerror or exc})") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

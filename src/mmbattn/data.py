@@ -16,7 +16,7 @@ import numpy as np
 
 from .autograd import stable_sigmoid
 from .checkpoint import write_atomic
-from .errors import ContractError, DataError, SchemaError, SynthSpecError
+from .errors import ConfigError, ContractError, DataError, reading
 from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
@@ -41,19 +41,19 @@ class FieldSchema:
 
     def __post_init__(self):
         if len(self.fields) < 1:
-            raise SchemaError("schema needs at least one feature field")
+            raise ConfigError("schema needs at least one feature field")
         names = [n for n, _ in self.fields]
         if len(set(names)) != len(names):
-            raise SchemaError("field names must be unique")
+            raise ConfigError("field names must be unique")
         if self.label_column in names:
-            raise SchemaError(f"label column {self.label_column!r} is also a feature field")
+            raise ConfigError(f"label column {self.label_column!r} is also a feature field")
         for name, kind in self.fields:
             if kind not in (CATEGORICAL, NUMERIC):
-                raise SchemaError(f"field {name!r} has unknown kind {kind!r}")
+                raise ConfigError(f"field {name!r} has unknown kind {kind!r}")
         if self.min_count < 1:
-            raise SchemaError("min_count must be >= 1")
+            raise ConfigError("min_count must be >= 1")
         if self.buckets < 1:
-            raise SchemaError("buckets must be >= 1")
+            raise ConfigError("buckets must be >= 1")
 
     @property
     def n_fields(self) -> int:
@@ -173,32 +173,27 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
     thousand strings, not the pages of every row read."""
     rows = Rows()
     keep = {}.setdefault
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            try:
-                header = next(reader, None)
-                if header is None:
-                    raise DataError(f"{path}: empty file")
-                if not header:
-                    raise DataError(f"{path}: line 1: empty header")
-                width = len(header)
-                add_row, add_line = rows.append, rows.lines.append
+    with reading(path, DataError), open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if not header:
+                raise DataError(f"{path}: line 1: empty header")
+            width = len(header)
+            add_row, add_line = rows.append, rows.lines.append
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != width:
+                        raise DataError(f"{path}: line {start}: expected {width} "
+                                        f"columns, got {len(row)}")
+                    add_row(list(map(keep, row, row)))
+                    add_line(start)
                 start = reader.line_num + 1
-                for row in reader:
-                    if row:
-                        if len(row) != width:
-                            raise DataError(f"{path}: line {start}: expected {width} "
-                                            f"columns, got {len(row)}")
-                        add_row(list(map(keep, row, row)))
-                        add_line(start)
-                    start = reader.line_num + 1
-            except csv.Error as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     return header, rows
@@ -211,9 +206,9 @@ def _columns(header: list[str], rows: Rows, schema: FieldSchema,
         raise ContractError("rows must be the data.Rows that read_table returns")
     for name in (*schema.field_names, schema.label_column):
         if name not in header:
-            raise SchemaError(f"missing column {name!r} in header")
+            raise DataError(f"missing column {name!r} in header")
         if header.count(name) > 1:
-            raise SchemaError(f"column {name!r} appears more than once in header")
+            raise DataError(f"column {name!r} appears more than once in header")
     return [[row[c] for row in rows] for c in map(header.index, names)]
 
 
@@ -337,19 +332,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n_rows < 10:
-            raise SynthSpecError("n_rows must be at least 10")
+            raise ConfigError("n_rows must be at least 10")
         if not self.cardinalities:
-            raise SynthSpecError("need at least one field")
+            raise ConfigError("need at least one field")
         if any(c < 2 for c in self.cardinalities):
-            raise SynthSpecError("every field cardinality must be >= 2")
+            raise ConfigError("every field cardinality must be >= 2")
         if not self.informative:
-            raise SynthSpecError("label rule needs at least one informative field")
+            raise ConfigError("label rule needs at least one informative field")
         if len(set(self.informative)) != len(self.informative):
-            raise SynthSpecError("duplicate informative field index")
+            raise ConfigError("duplicate informative field index")
         if not set(self.informative) <= set(range(self.n_fields)):
-            raise SynthSpecError("informative field index out of range")
+            raise ConfigError("informative field index out of range")
         if not self.weight_scale > 0:
-            raise SynthSpecError("weight_scale must be positive")
+            raise ConfigError("weight_scale must be positive")
 
     @property
     def n_fields(self) -> int:
@@ -392,7 +387,7 @@ def synth_truth(spec: SynthSpec) -> SynthTruth:
     for f in spec.informative:
         n_combos *= spec.cardinalities[f]
     if n_combos > 2_000_000:
-        raise SynthSpecError("too many value combinations for exact Bayes computation")
+        raise ConfigError("too many value combinations for exact Bayes computation")
     logits = np.zeros(1)
     for f in spec.informative:
         logits = (logits[:, None] + weights[f][None, :]).ravel()
@@ -430,8 +425,8 @@ def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
     """Generate encoded train/valid/test splits (8:1:1) plus ground truth."""
     truth = synth_truth(spec)
     if not 0.05 < truth.base_rate < 0.95:
-        raise SynthSpecError(f"label base rate {truth.base_rate:.4f} outside (0.05, 0.95); "
-                             "reduce weight_scale or reseed")
+        raise ConfigError(f"label base rate {truth.base_rate:.4f} outside (0.05, 0.95); "
+                           "reduce weight_scale or reseed")
     values, labels = synth_table(spec)
     full = Batch((values + 1).astype(np.uint32), labels)
     n_train = int(spec.n_rows * 0.8)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per kind of
+input, plus two for the program itself."""
 
 from contextlib import contextmanager
 
@@ -7,36 +8,20 @@ class MMBAttnError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(MMBAttnError):
-    """Tensor shapes incompatible with the requested operation."""
-
-
-class ContractError(MMBAttnError):
-    """An internal precondition was violated by the caller."""
-
-
-class SchemaError(MMBAttnError):
-    """Field schema inconsistent with the data it is applied to."""
+class ConfigError(MMBAttnError):
+    """Bad config, schema or synth-spec file, or bad values for a config dataclass."""
 
 
 class DataError(MMBAttnError):
-    """Malformed input data: bad label, bad row width, empty or unreadable file."""
-
-
-class SynthSpecError(MMBAttnError):
-    """Invalid synthetic-data specification."""
-
-
-class ConfigError(MMBAttnError):
-    """Invalid or unknown configuration key or value."""
-
-
-class MetricError(MMBAttnError):
-    """Metric undefined for the given inputs (e.g. single-class AUC)."""
+    """Bad CSV content or header, a bad label, or a split AUC cannot score."""
 
 
 class CheckpointError(MMBAttnError):
     """Checkpoint file unreadable or incompatible with the current config."""
+
+
+class ContractError(MMBAttnError):
+    """The caller broke a precondition, tensor shapes included."""
 
 
 class TrainingError(MMBAttnError):
@@ -50,3 +35,15 @@ def naming(path):
         yield
     except MMBAttnError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextmanager
+def reading(path, error_cls):
+    """Raise ``error_cls`` naming ``path`` when the block cannot read it or
+    decode it as UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error_cls(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:
+        raise error_cls(f"{path}: cannot read ({exc.strerror or exc})") from None

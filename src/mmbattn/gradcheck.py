@@ -12,6 +12,8 @@ from .data import Batch, FieldSchema, Vocabulary
 from .model import TowerConfig, build
 from .training import _logits_bce_value, bce_with_logits
 
+FD_STEP = 1e-5  # central-difference step
+
 
 def _loss_value(model, batch: Batch) -> float:
     z = model.forward_logits(Graph(record=False), batch)
@@ -24,7 +26,7 @@ def relative_error(a: np.ndarray, n: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom))
 
 
-def check_model(model, batch: Batch, h: float = 1e-5) -> dict[str, float]:
+def check_model(model, batch: Batch) -> dict[str, float]:
     """Max relative backprop-vs-central-difference error per parameter group."""
     g = Graph()
     loss = bce_with_logits(g, model.forward_logits(g, batch), batch.labels)
@@ -34,20 +36,19 @@ def check_model(model, batch: Batch, h: float = 1e-5) -> dict[str, float]:
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         up = _loss_value(model, batch)
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         down = _loss_value(model, batch)
         flat[i] = orig
-        numeric[i] = (up - down) / (2.0 * h)
+        numeric[i] = (up - down) / (2.0 * FD_STEP)
     spans = ((name, lo, lo + math.prod(shape)) for name, shape, lo in model.layout)
     return {name: relative_error(model.grads[lo:hi], numeric[lo:hi])
             for name, lo, hi in spans}
 
 
 def run_gradcheck(schema: FieldSchema, vocab: Vocabulary, batch: Batch, d: int,
-                  tower: TowerConfig, reduction_ratio: int, seed: int,
-                  h: float = 1e-5) -> dict[str, float]:
+                  tower: TowerConfig, reduction_ratio: int, seed: int) -> dict[str, float]:
     """FD comparison across all six ablation combinations.
 
     Returns the max relative error per parameter group, aggregated over
@@ -58,6 +59,6 @@ def run_gradcheck(schema: FieldSchema, vocab: Vocabulary, batch: Batch, d: int,
         attn = MMBAttnConfig(use_max=use_max, use_mean=use_mean, use_bitwise=use_bit,
                              reduction_ratio=reduction_ratio)
         model = build(schema, vocab, d, attn, tower, seed)
-        for name, err in check_model(model, batch, h).items():
+        for name, err in check_model(model, batch).items():
             worst[name] = max(worst.get(name, 0.0), err)
     return worst

@@ -11,7 +11,7 @@ import numpy as np
 from .autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
 from .blas import threads_for
 from .data import Batch, batches, check_labels
-from .errors import ConfigError, ContractError, MetricError, TrainingError, naming
+from .errors import ConfigError, ContractError, DataError, TrainingError, naming
 from .heap import keep_freed_memory
 from .model import Model
 from .seeding import derive_seed
@@ -82,7 +82,7 @@ def auc(scores, labels) -> float:
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise MetricError("AUC undefined: needs at least one positive and one negative")
+        raise DataError("AUC undefined: needs at least one positive and one negative")
     order = np.argsort(s, kind="stable")
     ss = s[order]
     boundaries = np.nonzero(np.diff(ss))[0]

@@ -8,7 +8,7 @@ import pytest
 from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor, stable_sigmoid
 from mmbattn.data import SynthSpec, synth_generate
-from mmbattn.errors import ContractError, DimensionError
+from mmbattn.errors import ContractError
 from mmbattn.model import TowerConfig, build
 from mmbattn.training import bce_with_logits
 
@@ -58,7 +58,7 @@ class TestMatmul:
         assert rel_err(got, want) < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
+        with pytest.raises(ContractError, match=r"\(2, 3\).*\(2, 3\)"):
             Graph().matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_backward(self):
@@ -121,9 +121,9 @@ class TestElementwise:
         assert np.allclose(b.grad, [2.0 / 6] * 3)
 
     def test_non_broadcastable_shapes(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError):
             Graph().add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError):
             Graph().mul(Tensor(np.ones((2,))), Tensor(np.ones((3, 2))))
 
 
@@ -154,7 +154,7 @@ class TestReduce:
         assert np.allclose(a.grad, 1.0 / 12)
 
     def test_axis_out_of_range(self):
-        with pytest.raises(DimensionError, match="axis 2"):
+        with pytest.raises(ContractError, match="axis 2"):
             Graph().reduce_mean(Tensor(np.ones((2, 3))), 2)
 
 
@@ -360,7 +360,7 @@ class TestProperties:
         assert out.shape == (2, 3)
         g.backward(g.reduce_mean(g.reduce_mean(g.mul(out, out), 1), 0))
         assert np.allclose(a.grad, 2 * np.arange(6.0) / 6)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError):
             g.reshape(a, (4, 2))
 
 

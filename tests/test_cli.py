@@ -212,6 +212,31 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (f"error: {path}: cannot read "
                                            f"(No such file or directory)\n")
 
+    def test_scores_every_seed(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out),
+                         "--seed", "1", "--seed", "2"]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [p["seed"] for p in printed] == [1, 2]
+        for p in printed:
+            test_record = read_metrics(out / f"seed_{p['seed']}" / "metrics.jsonl")[-1]
+            assert p["auc"] == test_record["auc"]
+
+    def test_checkpoint_with_two_seeds_refused_before_data_is_read(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def prepare_data(cfg):
+            pytest.fail("prepare_data ran for a --checkpoint given two seeds")
+
+        monkeypatch.setattr(cli, "prepare_data", prepare_data)
+        cfg = write_tiny_config(tmp_path)
+        assert cli.main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--checkpoint", str(tmp_path / "nope.mmbc")]) == 1
+        assert capsys.readouterr().err == ("error: --checkpoint names one checkpoint, "
+                                           "so it takes one seed, got 2\n")
+
 
 class TestAblateCommand:
     def test_six_rows_and_base_formatting(self, tmp_path, capsys):

@@ -8,8 +8,7 @@ from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, Rows, SynthS
                           batches, build_vocab_rows, encode_rows, hash_split,
                           read_table, synth_generate,
                           synth_table, synth_truth, synth_write_csv)
-from mmbattn.errors import (ContractError, DataError, SchemaError,
-                            SynthSpecError)
+from mmbattn.errors import ConfigError, ContractError, DataError
 
 
 def one_field_schema():
@@ -39,16 +38,16 @@ def encode_file(path, schema, vocab):
 
 class TestSchema:
     def test_duplicate_names_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError):
             FieldSchema(fields=(("a", CATEGORICAL), ("a", CATEGORICAL)),
                         label_column="y")
 
     def test_label_among_fields_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError):
             FieldSchema(fields=(("y", CATEGORICAL),), label_column="y")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SchemaError, match="kind"):
+        with pytest.raises(ConfigError, match="kind"):
             FieldSchema(fields=(("a", "weird"),), label_column="y")
 
 
@@ -66,7 +65,7 @@ class TestBuildVocab:
         assert vocab.index_of(0, "b") == 0
 
     def test_missing_column_named(self, csv_file):
-        with pytest.raises(SchemaError, match="'f'"):
+        with pytest.raises(DataError, match="'f'"):
             vocab_from(csv_file("g,y\na,1\n"), one_field_schema())
 
     def test_empty_stream(self, csv_file):
@@ -356,11 +355,11 @@ class TestHashSplit:
 
 class TestSynth:
     def test_all_noise_rejected(self):
-        with pytest.raises(SynthSpecError):
+        with pytest.raises(ConfigError):
             SynthSpec(n_rows=100, cardinalities=(4, 4), informative=())
 
     def test_bad_informative_index(self):
-        with pytest.raises(SynthSpecError):
+        with pytest.raises(ConfigError):
             SynthSpec(n_rows=100, cardinalities=(4,), informative=(3,))
 
     def test_same_seed_byte_identical(self, tmp_path):

@@ -14,10 +14,14 @@ still counts as used.
 A second check lists the names that only ``perfbench/`` references, so
 that what the package keeps just for the benchmark is written down. A
 third records that the package runs on the caller's thread (BLAS threads
-aside): no module imports a thread or process pool.
+aside): no module imports a thread or process pool. A fourth keeps one
+error class per kind of input: ``errors.py`` defines ``MMBAttnError`` and
+its five subclasses, no other module defines an exception, and every
+package error raised names one of the five.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,3 +109,43 @@ def test_no_module_starts_threads_or_processes():
             found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] in banned]
     assert not found, f"the package runs on the caller's thread: {found}"
+
+
+ERROR_CLASSES = {"ConfigError", "DataError", "CheckpointError", "ContractError",
+                 "TrainingError"}
+
+
+def _name(node):
+    """The last dotted part of a Name or Attribute, else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_one_error_class_per_kind_of_input():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name: [_name(b) for b in node.bases]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"MMBAttnError": ["Exception"],
+                       **{name: ["MMBAttnError"] for name in ERROR_CLASSES}}
+    found = []
+    for path, tree in _trees(PACKAGE):
+        if path.name == "errors.py":  # its context managers raise the class given
+            continue
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(ROOT)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ClassDef):
+                bases = [_name(b) or "" for b in node.bases]
+                found += [f"{where}: class {node.name}({b})" for b in bases
+                          if b.endswith(("Error", "Exception"))]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                name = _name(node.exc)
+                if name not in ERROR_CLASSES and not hasattr(builtins, name or ""):
+                    found.append(f"{where}: raise {name}")
+            elif isinstance(node, ast.Call) and _name(node) == "reading":
+                name = _name(node.args[1])
+                if name not in ERROR_CLASSES:
+                    found.append(f"{where}: reading(..., {name})")
+    assert not found, f"raise or define only the five error classes: {found}"

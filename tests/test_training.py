@@ -7,7 +7,7 @@ from mmbattn import training
 from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor, stable_sigmoid
 from mmbattn.data import SynthSpec, synth_generate
-from mmbattn.errors import ConfigError, ContractError, MetricError, TrainingError
+from mmbattn.errors import ConfigError, ContractError, DataError, TrainingError
 from mmbattn.model import TowerConfig, build
 from mmbattn.training import (EvalReport, TrainConfig, adam_step, auc, bce_loss,
                               bce_with_logits, evaluate, init_adam_state, train)
@@ -98,7 +98,7 @@ class TestAuc:
             assert auc(scores, labels) == pairwise_auc_oracle(scores, labels)
 
     def test_single_class_undefined(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError):
             auc([0.1, 0.2], [1.0, 1.0])
 
     def test_non_binary_labels_rejected(self):
@@ -284,7 +284,7 @@ class TestTrainLoop:
         spec, (tr, va, te, _) = tiny_planted()
         model = self.build_model(spec)
         positives = va.take(np.flatnonzero(va.labels == 1.0))
-        with pytest.raises(MetricError, match=r"^epoch 1, valid split: AUC undefined"):
+        with pytest.raises(DataError, match=r"^epoch 1, valid split: AUC undefined"):
             train(model, tr, positives, te, TrainConfig(batch_size=1024, max_epochs=1),
                   run_seed=1)
 
