@@ -35,16 +35,18 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
 class Tensor:
-    """A shaped float64 buffer, optionally carrying an accumulated gradient."""
+    """A shaped float64 buffer and the gradient ``backward`` accumulated into it."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "grad")
+    # Read-only: a recording graph differentiates every tensor it touches.
+    # Kept only because the benchmark's tracer reads it.
+    requires_grad = True
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)  # keeps ndim: 0-d arrays are contiguous
         self.data: np.ndarray = arr
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
     @property
@@ -56,7 +58,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -115,8 +117,9 @@ class Graph:
     """Append-only tape of executed operations.
 
     One graph per forward/backward pass.  Parameters are shared across
-    graphs; each graph owns its intermediate tensors.  ``record=False``
-    runs ops forward-only (evaluation mode).
+    graphs; each graph owns its intermediate tensors.  A recording graph
+    tapes every op and differentiates every tensor it touches;
+    ``record=False`` runs ops forward-only (evaluation mode).
     """
 
     def __init__(self, record: bool = True):
@@ -126,11 +129,9 @@ class Graph:
 
     # -- plumbing -----------------------------------------------------
 
-    def _result(self, data, inputs: tuple[Tensor, ...],
-                backward: Callable[[np.ndarray], None]) -> Tensor:
-        rg = self.record and any(t.requires_grad for t in inputs)
-        out = Tensor(data, requires_grad=rg)
-        if rg:
+    def _result(self, data, backward: Callable[[np.ndarray], None]) -> Tensor:
+        out = Tensor(data)
+        if self.record:
             self._nodes.append((out, backward))
         return out
 
@@ -138,13 +139,14 @@ class Graph:
                   backward: Callable[[np.ndarray], None]) -> Tensor:
         """Register an externally implemented differentiable operation.
 
-        ``backward`` receives the upstream gradient of the output and must
-        call :func:`accumulate_grad` on whichever inputs require it.
+        ``backward`` receives the upstream gradient of the output and calls
+        :func:`accumulate_grad` on each of ``inputs``.  ``inputs`` names
+        what the backward writes; only the benchmark's tracer reads it.
         """
-        return self._result(data, tuple(inputs), backward)
+        return self._result(data, backward)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` for every requires_grad tensor reachable from ``loss``."""
+        """Populate ``grad`` for every tensor reachable from ``loss``."""
         if loss.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not self.record:
@@ -170,37 +172,31 @@ class Graph:
             raise ContractError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                accumulate_grad(a, g @ b.data.T)
-            if b.requires_grad:
-                accumulate_grad(b, a.data.T @ g)
+            accumulate_grad(a, g @ b.data.T)
+            accumulate_grad(b, a.data.T @ g)
 
-        return self._result(a.data @ b.data, (a, b), backward)
+        return self._result(a.data @ b.data, backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast(a.shape, b.shape)
 
         def backward(g: np.ndarray) -> None:
-            if b.requires_grad:
-                gb = _reduce_to(g, b.shape)
-                # a takes g itself below, so b needs its own copy of it
-                accumulate_grad(b, gb.copy() if gb is g and a.requires_grad else gb)
-            if a.requires_grad:
-                accumulate_grad(a, g)
+            gb = _reduce_to(g, b.shape)
+            # a takes g itself below, so b needs its own copy of it
+            accumulate_grad(b, gb.copy() if gb is g else gb)
+            accumulate_grad(a, g)
 
-        return self._result(a.data + b.data, (a, b), backward)
+        return self._result(a.data + b.data, backward)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast(a.shape, b.shape)
 
         def backward(g: np.ndarray) -> None:
-            if b.requires_grad:
-                accumulate_grad(b, _reduce_to(g * a.data, b.shape))
-            if a.requires_grad:
-                g *= b.data
-                accumulate_grad(a, g)
+            accumulate_grad(b, _reduce_to(g * a.data, b.shape))
+            g *= b.data
+            accumulate_grad(a, g)
 
-        return self._result(a.data * b.data, (a, b), backward)
+        return self._result(a.data * b.data, backward)
 
     def _check_axis(self, a: Tensor, axis: int) -> None:
         if not 0 <= axis < a.data.ndim:
@@ -211,43 +207,39 @@ class Graph:
         d = a.shape[axis]
 
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                accumulate_grad(a, np.repeat(np.expand_dims(g / d, axis), d, axis))
+            accumulate_grad(a, np.repeat(np.expand_dims(g / d, axis), d, axis))
 
-        return self._result(a.data.mean(axis=axis), (a,), backward)
+        return self._result(a.data.mean(axis=axis), backward)
 
     def reduce_max(self, a: Tensor, axis: int) -> Tensor:
         self._check_axis(a, axis)
         # np.argmax returns the first (lowest-index) maximum: the tie rule.
-        idx = np.argmax(a.data, axis=axis) if self.record and a.requires_grad else None
+        idx = np.argmax(a.data, axis=axis) if self.record else None
 
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                np.put_along_axis(full, np.expand_dims(idx, axis),
-                                  np.expand_dims(g, axis), axis)
-                accumulate_grad(a, full)
+            full = np.zeros_like(a.data)
+            np.put_along_axis(full, np.expand_dims(idx, axis),
+                              np.expand_dims(g, axis), axis)
+            accumulate_grad(a, full)
 
-        return self._result(a.data.max(axis=axis), (a,), backward)
+        return self._result(a.data.max(axis=axis), backward)
 
     def relu(self, a: Tensor) -> Tensor:
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                np.multiply(g, a.data > 0, out=g)  # relu'(0) = 0
-                accumulate_grad(a, g)
+            np.multiply(g, a.data > 0, out=g)  # relu'(0) = 0
+            accumulate_grad(a, g)
 
-        return self._result(np.maximum(a.data, 0.0), (a,), backward)
+        return self._result(np.maximum(a.data, 0.0), backward)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         out_data = stable_sigmoid(a.data)
 
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                g *= out_data
-                g *= 1.0 - out_data
-                accumulate_grad(a, g)
+            g *= out_data
+            g *= 1.0 - out_data
+            accumulate_grad(a, g)
 
-        return self._result(out_data, (a,), backward)
+        return self._result(out_data, backward)
 
     def reshape(self, a: Tensor, shape: Sequence[int]) -> Tensor:
         new_shape = tuple(int(s) for s in shape)
@@ -255,7 +247,6 @@ class Graph:
             raise ContractError(f"cannot reshape {a.shape} to {new_shape}")
 
         def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                accumulate_grad(a, g.reshape(a.shape))
+            accumulate_grad(a, g.reshape(a.shape))
 
-        return self._result(a.data.reshape(new_shape), (a,), backward)
+        return self._result(a.data.reshape(new_shape), backward)

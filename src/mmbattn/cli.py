@@ -19,7 +19,7 @@ from .attention import ABLATION_ROWS
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
 from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
                    hash_split, read_table, synth_generate, synth_write_csv)
-from .errors import ConfigError, DataError, MMBAttnError, naming
+from .errors import CheckpointError, ConfigError, DataError, MMBAttnError, naming, reading
 from .gradcheck import run_gradcheck
 from .model import Model, build
 from .seeding import derive_seed
@@ -84,13 +84,20 @@ def _build_model(cfg: RunConfig, seed: int, prepared: PreparedData) -> Model:
 
 def run_single(cfg: RunConfig, seed: int, out_dir: Path,
                prepared: PreparedData) -> EvalReport:
-    """Train one seed; writes metrics.jsonl, checkpoint.mmbc, run_info.json."""
+    """Train one seed; writes metrics.jsonl, checkpoint.mmbc, run_info.json.
+
+    ``metrics.jsonl`` is rewritten whole after each record, so a killed run
+    leaves every record emitted so far."""
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _build_model(cfg, seed, prepared)
-    with open(out_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        report = train(model, prepared.train, prepared.valid, prepared.test,
-                       cfg.train, run_seed=seed,
-                       emit=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"))
+    lines: list[str] = []
+
+    def emit(record: dict) -> None:
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+        ckpt.write_atomic(out_dir / "metrics.jsonl", "".join(lines).encode("utf-8"))
+
+    report = train(model, prepared.train, prepared.valid, prepared.test,
+                   cfg.train, run_seed=seed, emit=emit)
     digest = cfg.digest(seed)
     ckpt.save_checkpoint(out_dir / "checkpoint.mmbc", model.registry, digest)
     info = {
@@ -186,7 +193,15 @@ def cmd_evaluate(args) -> int:
         paths = [_out_dir(cfg, args) / f"seed_{seed}" / "checkpoint.mmbc"
                  for seed in cfg.seeds]
     checkpoints = [ckpt.load_checkpoint(path) for path in paths]
+    infos = [] if args.force else [path.parent / "run_info.json" for path in paths]
+    trained_on = [_train_digest(info) for info in infos]
     prepared = prepare_data(cfg)
+    current = prepared.train.digest()
+    for info, recorded in zip(infos, trained_on):
+        if recorded != current:
+            raise CheckpointError(f"{info}: train split digest mismatch: checkpoint "
+                                  f"trained on {recorded} vs current {current} "
+                                  f"(use --force to load anyway)")
     for seed, checkpoint in zip(cfg.seeds, checkpoints):
         model = _build_model(cfg, seed, prepared)
         ckpt.restore_model(model, checkpoint, expected_digest=cfg.digest(seed),
@@ -195,6 +210,16 @@ def cmd_evaluate(args) -> int:
         print(json.dumps({"seed": seed, "split": "test", "auc": report.auc,
                           "logloss": report.logloss, "n": report.n}, sort_keys=True))
     return 0
+
+
+def _train_digest(info_path: Path) -> str:
+    """The train split digest a run recorded in its ``run_info.json``."""
+    with reading(info_path, CheckpointError):
+        text = info_path.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)["data_digest"]["train"]
+    except (ValueError, KeyError, TypeError):
+        raise CheckpointError(f"{info_path}: no data_digest.train recorded") from None
 
 
 def cmd_ablate(args) -> int:
@@ -264,9 +289,12 @@ def cmd_gradcheck(args) -> int:
     if cfg.embedding_dim > 3:
         raise ConfigError("gradcheck needs a tiny model: embedding_dim at most 3")
     batch = prepared.train.take(slice(0, min(8, prepared.train.n)))
-    worst = run_gradcheck(prepared.schema, prepared.vocab, batch,
-                          cfg.embedding_dim, cfg.tower,
-                          cfg.attn.reduction_ratio, cfg.seeds[0])
+    worst: dict[str, float] = {}
+    for seed in cfg.seeds:
+        for name, err in run_gradcheck(prepared.schema, prepared.vocab, batch,
+                                       cfg.embedding_dim, cfg.tower,
+                                       cfg.attn.reduction_ratio, seed).items():
+            worst[name] = max(worst.get(name, 0.0), err)
     overall = 0.0
     for name in sorted(worst):
         print(f"{name:<24} max relative error {worst[name]:.3e}")
@@ -325,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint path for a single seed "
                                  "(default: <out>/seed_<s>/checkpoint.mmbc per seed)")
             sp.add_argument("--force", action="store_true",
-                            help="ignore checkpoint/config digest mismatches")
+                            help="ignore config and train split digest mismatches")
         if name == "sweep":
             sp.add_argument("--axis", required=True, choices=sorted(_SWEEP_KEYS))
             sp.add_argument("--values", required=True,

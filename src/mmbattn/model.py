@@ -48,8 +48,7 @@ class Model:
         layout, lo = [], 0
         for name, a in arrays.items():
             hi = lo + a.size
-            t = self.registry[name] = Tensor(self.params[lo:hi].reshape(a.shape),
-                                             requires_grad=True)
+            t = self.registry[name] = Tensor(self.params[lo:hi].reshape(a.shape))
             t.grad = self.grads[lo:hi].reshape(a.shape)
             layout.append((name, a.shape, lo))
             lo = hi
@@ -62,7 +61,7 @@ class Model:
         embed = group("embed.")
         sizes = [t.shape[0] for t in embed.values()]
         span = sum(t.size for t in embed.values())
-        table = Tensor(self.params[:span].reshape(sum(sizes), -1), requires_grad=True)
+        table = Tensor(self.params[:span].reshape(sum(sizes), -1))
         table.grad = self.grads[:span].reshape(table.shape)
         self.embedding = EmbeddingTable(tuple(embed), sizes, table)
         self.attn_params = AttnParams(

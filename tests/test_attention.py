@@ -20,14 +20,14 @@ def zero_params(n_fields, d, config):
     h_b = hidden_width(c_b, config.reduction_ratio)
     p = AttnParams()
     if config.use_max:
-        p.max_w1 = Tensor(np.zeros((n_fields, h_f)), requires_grad=True)
-        p.max_w2 = Tensor(np.zeros((h_f, n_fields)), requires_grad=True)
+        p.max_w1 = Tensor(np.zeros((n_fields, h_f)))
+        p.max_w2 = Tensor(np.zeros((h_f, n_fields)))
     if config.use_mean:
-        p.mean_w1 = Tensor(np.zeros((n_fields, h_f)), requires_grad=True)
-        p.mean_w2 = Tensor(np.zeros((h_f, n_fields)), requires_grad=True)
+        p.mean_w1 = Tensor(np.zeros((n_fields, h_f)))
+        p.mean_w2 = Tensor(np.zeros((h_f, n_fields)))
     if config.use_bitwise:
-        p.bit_w1 = Tensor(np.zeros((c_b, h_b)), requires_grad=True)
-        p.bit_w2 = Tensor(np.zeros((h_b, c_b)), requires_grad=True)
+        p.bit_w1 = Tensor(np.zeros((c_b, h_b)))
+        p.bit_w2 = Tensor(np.zeros((h_b, c_b)))
     return p
 
 
@@ -71,7 +71,7 @@ class TestPool:
                               pool(Graph(), e, "mean").data)
 
     def test_mean_pool_gradient_uniform(self):
-        e = Tensor(np.arange(6.0).reshape(1, 2, 3), requires_grad=True)
+        e = Tensor(np.arange(6.0).reshape(1, 2, 3))
         g = Graph()
         s = pool(g, e, "mean")
         g.backward(g.reduce_mean(g.reduce_mean(s, 1), 0))
@@ -274,7 +274,7 @@ class TestApply:
     def test_tape_node_count(self, slug, toggles, nodes):
         cfg = MMBAttnConfig(*toggles, reduction_ratio=2)
         g = Graph()
-        apply_attention(g, Tensor(self.rand_e(), requires_grad=True),
+        apply_attention(g, Tensor(self.rand_e()),
                         attn_params(cfg, 3, 2, seed=1), cfg)
         assert len(g._nodes) == nodes
 
@@ -294,7 +294,7 @@ class TestApply:
                 return float(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0).data)
 
             g = Graph()
-            e = Tensor(e_data, requires_grad=True)
+            e = Tensor(e_data)
             out = apply_attention(g, e, params, cfg)
             diff = g.add(out, Tensor(-target))
             g.backward(g.reduce_mean(g.reduce_mean(g.mul(diff, diff), 1), 0))

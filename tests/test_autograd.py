@@ -63,8 +63,8 @@ class TestMatmul:
 
     def test_backward(self):
         rng = np.random.default_rng(7)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        a = Tensor(rng.normal(size=(3, 4)))
+        b = Tensor(rng.normal(size=(4, 2)))
 
         def loss():
             g = Graph(record=False)
@@ -90,8 +90,8 @@ class TestElementwise:
 
     def test_add_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        a = Tensor(rng.normal(size=(4, 3)))
+        b = Tensor(rng.normal(size=(4, 3)))
 
         def loss():
             g = Graph(record=False)
@@ -105,15 +105,15 @@ class TestElementwise:
         assert rel_err(b.grad, fd_grad(loss, b.data)) < 1e-6
 
     def test_broadcast_backward_reduces(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        b = Tensor([[2.0], [3.0]], requires_grad=True)
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = Tensor([[2.0], [3.0]])
         g = Graph()
         g.backward(g.reduce_mean(g.reduce_mean(g.mul(a, b), 1), 0))
         assert np.allclose(b.grad, [[(0.0 + 1.0 + 2.0) / 6], [(3.0 + 4.0 + 5.0) / 6]])
 
     def test_trailing_broadcast(self):
-        a = Tensor(np.ones((2, 3)), requires_grad=True)
-        b = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        a = Tensor(np.ones((2, 3)))
+        b = Tensor([1.0, 2.0, 3.0])
         g = Graph()
         out = g.add(a, b)
         assert out.data.tolist() == [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]]
@@ -134,7 +134,7 @@ class TestReduce:
 
     def test_max_backward_routes_to_argmax(self):
         g = Graph()
-        a = Tensor([1.0, 5.0, 3.0], requires_grad=True)
+        a = Tensor([1.0, 5.0, 3.0])
         m = g.reduce_max(a, 0)
         assert float(m.data) == 5.0
         g.backward(m)
@@ -143,13 +143,13 @@ class TestReduce:
     def test_max_tie_goes_to_lowest_index(self):
         # one-sided subgradient convention; FD equality does not hold at a tie
         g = Graph()
-        a = Tensor([4.0, 4.0], requires_grad=True)
+        a = Tensor([4.0, 4.0])
         g.backward(g.reduce_max(a, 0))
         assert a.grad.tolist() == [1.0, 0.0]
 
     def test_mean_backward_uniform(self):
         g = Graph()
-        a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        a = Tensor(np.arange(12.0).reshape(3, 4))
         g.backward(g.reduce_mean(g.reduce_mean(a, 1), 0))
         assert np.allclose(a.grad, 1.0 / 12)
 
@@ -180,7 +180,7 @@ class TestActivations:
 
     def test_relu_gradient_zero_at_kink(self):
         g = Graph()
-        a = Tensor([0.0], requires_grad=True)
+        a = Tensor([0.0])
         g.backward(g.reduce_mean(g.relu(a), 0))
         assert a.grad.tolist() == [0.0]
 
@@ -209,7 +209,7 @@ class TestActivations:
 
     def test_sigmoid_backward(self):
         rng = np.random.default_rng(5)
-        a = Tensor(rng.normal(size=7), requires_grad=True)
+        a = Tensor(rng.normal(size=7))
 
         def loss():
             g = Graph(record=False)
@@ -223,27 +223,27 @@ class TestActivations:
 class TestBackward:
     def test_sum_gives_all_ones(self):
         g = Graph()
-        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.arange(6.0).reshape(2, 3))
         # the sum of w's entries as ones(1,2) · w · ones(3,1)
         g.backward(g.matmul(g.matmul(Tensor(np.ones((1, 2))), w), Tensor(np.ones((3, 1)))))
         assert np.array_equal(w.grad, np.ones((2, 3)))
 
     def test_square_gradient(self):
         g = Graph()
-        w = Tensor([1.0, -2.0], requires_grad=True)
+        w = Tensor([1.0, -2.0])
         g.backward(g.reduce_mean(g.mul(w, w), 0))
         assert w.grad.tolist() == [1.0, -2.0]
 
     def test_non_scalar_loss_rejected(self):
         g = Graph()
-        w = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([1.0, 2.0])
         out = g.mul(w, w)
         with pytest.raises(ContractError, match="scalar"):
             g.backward(out)
 
     def test_multi_consumer_gradients_sum(self):
         # w feeds two consumers; grad equals the sum of single-consumer grads
-        w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        w = Tensor([1.0, 2.0, 3.0])
         g = Graph()
         a = g.mul(w, Tensor([2.0, 2.0, 2.0]))
         b = g.mul(w, Tensor([5.0, 5.0, 5.0]))
@@ -251,7 +251,7 @@ class TestBackward:
         assert np.allclose(w.grad, [7.0 / 3] * 3)
 
     def test_second_backward_on_a_graph_raises(self):
-        w = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([1.0, 2.0])
         g = Graph()
         loss = g.reduce_mean(g.sigmoid(g.mul(w, w)), 0)
         g.backward(loss)
@@ -261,7 +261,7 @@ class TestBackward:
         assert np.array_equal(w.grad, first)
 
     def test_gradients_accumulate_across_reuse(self):
-        w = Tensor([3.0], requires_grad=True)
+        w = Tensor([3.0])
         g = Graph()
         g.backward(g.reduce_mean(g.mul(w, w), 0))
         assert w.grad.tolist() == [6.0]
@@ -305,8 +305,8 @@ class TestTapeRelease:
 
         def grads(walk):
             model, batch = self.model_and_batch()
-            x = Tensor(np.random.default_rng(0).normal(size=(batch.n, 2)),
-                       requires_grad=True)  # a leaf that is not a parameter
+            # a leaf that is not a parameter
+            x = Tensor(np.random.default_rng(0).normal(size=(batch.n, 2)))
             g = Graph()
             logits = g.add(model.forward_logits(g, batch),
                            g.reshape(g.reduce_mean(g.mul(x, x), 1), (batch.n,)))
@@ -323,8 +323,8 @@ class TestProperties:
         # away from relu kinks and max ties
         rng = np.random.default_rng(123)
         for _ in range(100):
-            x = Tensor(rng.normal(size=(2, 3)) + 0.1, requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+            x = Tensor(rng.normal(size=(2, 3)) + 0.1)
+            w = Tensor(rng.normal(size=(3, 3)))
 
             def forward(g):
                 h = g.relu(g.matmul(x, w))
@@ -355,7 +355,7 @@ class TestProperties:
 
     def test_reshape_round_trip(self):
         g = Graph()
-        a = Tensor(np.arange(6.0), requires_grad=True)
+        a = Tensor(np.arange(6.0))
         out = g.reshape(a, (2, 3))
         assert out.shape == (2, 3)
         g.backward(g.reduce_mean(g.reduce_mean(g.mul(out, out), 1), 0))
@@ -391,7 +391,7 @@ class TestOwnership:
         # shared gradient handed to a relu output breaks the match
         shapes, op = HANDOVER_CASES[name]
         rng = np.random.default_rng(17)
-        leaves = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        leaves = [Tensor(rng.normal(size=s)) for s in shapes]
 
         def forward(g):  # the loss head's backward hands over fresh arrays only
             out = op(g, *(g.relu(t) for t in leaves))
@@ -404,8 +404,8 @@ class TestOwnership:
             assert rel_err(t.grad, want) < 1e-6
 
     def test_add_gives_each_leaf_its_own_gradient(self):
-        x = Tensor(np.ones((3, 2)), requires_grad=True)
-        y = Tensor(np.ones((3, 2)), requires_grad=True)
+        x = Tensor(np.ones((3, 2)))
+        y = Tensor(np.ones((3, 2)))
         g = Graph()
         g.backward(g.reduce_mean(g.reduce_mean(g.add(x, y), 1), 0))
         assert x.grad is not y.grad
@@ -415,21 +415,21 @@ class TestOwnership:
         assert np.array_equal(y.grad, np.full((3, 2), 1 / 6))
 
     def test_add_of_a_tensor_to_itself_doubles(self):
-        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        x = Tensor([1.0, -2.0, 3.0])
         g = Graph()
         g.backward(g.reduce_mean(g.add(x, x), 0))
         assert np.array_equal(x.grad, np.full(3, 2 / 3))
 
     def test_mul_of_a_tensor_with_itself(self):
-        x = Tensor([1.5, -2.0, 0.25], requires_grad=True)
+        x = Tensor([1.5, -2.0, 0.25])
         g = Graph()
         g.backward(g.reduce_mean(g.sigmoid(g.mul(x, x)), 0))
         y = stable_sigmoid(x.data * x.data)
         assert rel_err(x.grad, 2 * x.data * y * (1 - y) / 3) < 1e-15
 
     def test_scalar_operand_gradient_is_an_array(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        s = Tensor(2.0, requires_grad=True)
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        s = Tensor(2.0)
         g = Graph()
         g.backward(g.reduce_mean(g.reduce_mean(g.relu(g.mul(x, g.relu(s))), 1), 0))
         assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
@@ -437,8 +437,8 @@ class TestOwnership:
 
     def test_tensor_feeding_relu_and_add_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(4, 3)) + 0.05, requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)) + 0.05)
+        w = Tensor(rng.normal(size=(3, 3)))
 
         def forward(g):
             h = g.matmul(x, w)
@@ -453,8 +453,8 @@ class TestOwnership:
 
     def test_forward_only_graph_matches_recording_graph_bit_for_bit(self):
         rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 6)))
+        w = Tensor(rng.normal(size=(6, 6)))
 
         def forward(g):
             h = g.relu(g.matmul(x, w))
@@ -462,9 +462,25 @@ class TestOwnership:
             m = g.reduce_max(g.reshape(g.mul(s, h), (5, 3, 2)), 2)
             return g.add(m, g.reduce_mean(g.reshape(s, (5, 3, 2)), 2))
 
-        recorded, plain = forward(Graph()), forward(Graph(record=False))
+        g, g_plain = Graph(), Graph(record=False)
+        recorded, plain = forward(g), forward(g_plain)
         assert np.array_equal(recorded.data.view(np.uint64), plain.data.view(np.uint64))
-        assert recorded.requires_grad and not plain.requires_grad
+        assert len(g._nodes) == 10 and g_plain._nodes == []  # one node per op
+
+    def test_constant_on_a_recording_graph_gets_its_exact_gradient(self):
+        # one switch: a recording graph differentiates every tensor it touches
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        w = Tensor([[0.5], [-1.0]])
+        g = Graph()
+        g.backward(g.reduce_mean(g.reshape(g.matmul(x, w), (2,)), 0))
+        assert x.grad.tolist() == [[0.25, -0.5], [0.25, -0.5]]
+        assert w.grad.tolist() == [[2.0], [3.0]]
+
+    def test_tensor_takes_data_only(self):
+        with pytest.raises(TypeError):
+            Tensor([1.0], requires_grad=False)
+        with pytest.raises(AttributeError):
+            Tensor([1.0]).requires_grad = False
 
 
 class TestSurface:

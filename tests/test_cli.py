@@ -1,6 +1,9 @@
 import argparse
 import json
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +114,31 @@ class TestTrainCommand:
             ca = (out_a / f"seed_{seed}" / "checkpoint.mmbc").read_bytes()
             cb = (out_b / f"seed_{seed}" / "checkpoint.mmbc").read_bytes()
             assert ca == cb
+
+    def test_killed_run_keeps_every_record_emitted(self, tmp_path):
+        # the child dies without unwinding right after the second record
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        script = ("import os, sys\n"
+                  "from mmbattn import cli\n"
+                  "real = cli.train\n"
+                  "def train(*args, emit, **kwargs):\n"
+                  "    seen = []\n"
+                  "    def emit_then_die(record):\n"
+                  "        emit(record)\n"
+                  "        seen.append(record)\n"
+                  "        if len(seen) == 2:\n"
+                  "            os._exit(9)\n"
+                  "    return real(*args, emit=emit_then_die, **kwargs)\n"
+                  "cli.train = train\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, "train", "--config", str(cfg),
+                               "--out", str(out)], env={"PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 9, proc.stderr
+        records = read_metrics(out / "seed_1" / "metrics.jsonl")
+        assert [(r["epoch"], r["split"]) for r in records] == [(1, "valid"), (2, "valid")]
 
     def test_out_path_that_is_a_file_exits_with_error(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
@@ -224,6 +252,20 @@ class TestEvaluateCommand:
         for p in printed:
             test_record = read_metrics(out / f"seed_{p['seed']}" / "metrics.jsonl")[-1]
             assert p["auc"] == test_record["auc"]
+
+    def test_checkpoint_without_its_run_info_refused(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        alone = tmp_path / "alone" / "checkpoint.mmbc"
+        alone.parent.mkdir()
+        shutil.copy(out / "seed_1" / "checkpoint.mmbc", alone)
+        args = ["evaluate", "--config", str(cfg), "--checkpoint", str(alone)]
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (f"error: {alone.parent / 'run_info.json'}: "
+                                           f"cannot read (No such file or directory)\n")
+        assert cli.main(args + ["--force"]) == 0
 
     def test_checkpoint_with_two_seeds_refused_before_data_is_read(self, tmp_path, capsys,
                                                                     monkeypatch):
@@ -407,16 +449,28 @@ class TestGradcheckCommand:
             mask = a.data > 0
 
             def backward(g):
-                if a.requires_grad:
-                    accumulate_grad(a, g * mask * 1.01)  # wrong scale
+                accumulate_grad(a, g * mask * 1.01)  # wrong scale
 
-            return self._result(np.maximum(a.data, 0.0), (a,), backward)
+            return self.record_op(np.maximum(a.data, 0.0), (a,), backward)
 
         monkeypatch.setattr(Graph, "relu", corrupt_relu)
         rc = cli.main(["gradcheck", "--config", str(CONFIGS / "gradcheck.conf")])
         monkeypatch.setattr(Graph, "relu", true_relu)
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_every_seed_is_checked(self, capsys):
+        def errors(*seeds):
+            flags = [flag for seed in seeds for flag in ("--seed", str(seed))]
+            assert cli.main(["gradcheck", "--config", str(CONFIGS / "gradcheck.conf"),
+                             *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return dict(re.match(r"(\S+)\s+max relative error (\S+)", line).groups()
+                        for line in lines)
+
+        one, two, both = errors(1), errors(2), errors(1, 2)
+        assert one != two
+        assert both == {name: max(one[name], two[name], key=float) for name in one}
 
     def test_rejects_large_models(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, **{"model.embedding_dim": "5"})
@@ -520,6 +574,27 @@ class TestCsvPipeline:
             path.write_text("".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows))
         swapped = cli.prepare_data(load_run_config(cfg))
         assert swapped.digests() == plain.digests()
+
+    def test_evaluate_refuses_a_reordered_train_csv(self, tmp_path, capsys):
+        # reordering rows changes the first-seen vocabulary order, so every
+        # embedding row would be read under another value's index
+        cfg = self.write_csv_run(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        trained_on = json.loads((out / "seed_1" / "run_info.json").read_text())
+        path = tmp_path / "data" / "train.csv"
+        header, *rows = path.read_text().splitlines()
+        rows.sort(key=lambda row: row.split(",")[1:])
+        path.write_text("".join(line + "\n" for line in (header, *rows)))
+        current = cli.prepare_data(load_run_config(cfg)).train.digest()
+        capsys.readouterr()
+        args = ["evaluate", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'seed_1' / 'run_info.json'}: train split digest mismatch: "
+            f"checkpoint trained on {trained_on['data_digest']['train']} vs current "
+            f"{current} (use --force to load anyway)\n")
+        assert cli.main(args + ["--force"]) == 0
 
     def test_header_missing_a_schema_column_names_file(self, tmp_path, capsys):
         cfg = self.write_csv_run(tmp_path)

@@ -39,7 +39,7 @@ class TestLookup:
         assert out.data.tolist() == [[[1.0, 2.0]]]
 
     def test_scatter_add_counts_multiplicity(self):
-        table = Tensor(np.zeros((3, 2)), requires_grad=True)
+        table = Tensor(np.zeros((3, 2)))
         emb = EmbeddingTable(("f0",), [table.shape[0]], table)
         g = Graph()
         out = lookup(g, emb, batch_of([[1], [1], [2]]))
@@ -60,7 +60,7 @@ class TestLookup:
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.int64, np.uint64])
     def test_any_integer_index_dtype_gathers_the_same_rows(self, dtype):
-        table = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+        table = Tensor(np.arange(10.0).reshape(5, 2))
         emb = EmbeddingTable(("f0", "f1"), [2, 3], table)
         g = Graph()
         out = lookup(g, emb, Batch(np.array([[1, 2], [0, 0]], dtype=dtype), np.zeros(2)))
@@ -87,7 +87,7 @@ class TestLookup:
     def test_matches_per_field_loop_bit_for_bit(self):
         rng = np.random.default_rng(3)
         sizes = [4, 2, 5]
-        table = Tensor(rng.normal(size=(sum(sizes), 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(sum(sizes), 3)))
         emb = EmbeddingTable(("f0", "f1", "f2"), sizes, table)
         idx = np.stack([rng.integers(0, n, size=64) for n in sizes], axis=1)
         upstream = rng.normal(size=(64, 3, 3))
@@ -106,7 +106,7 @@ class TestLookup:
 
     def test_gradient_sparsity(self):
         rng = np.random.default_rng(1)
-        table = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(10, 3)))
         emb = EmbeddingTable(("f0",), [table.shape[0]], table)
         g = Graph()
         out = lookup(g, emb, batch_of([[2], [7]]))

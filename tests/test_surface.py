@@ -17,7 +17,8 @@ third records that the package runs on the caller's thread (BLAS threads
 aside): no module imports a thread or process pool. A fourth keeps one
 error class per kind of input: ``errors.py`` defines ``MMBAttnError`` and
 its five subclasses, no other module defines an exception, and every
-package error raised names one of the five.
+package error raised names one of the five. A fifth lists the attributes
+that only ``perfbench/`` reads.
 """
 
 import ast
@@ -42,6 +43,13 @@ ORACLES = {
 BENCHMARK_ONLY = {
     "eval_thread_count": "perfbench/run.py passes it to train and evaluate; "
                          "it always returns 1",
+}
+
+# Attributes the package keeps but never reads, for the same reason.
+BENCHMARK_ONLY_ATTRIBUTES = {
+    "requires_grad": "perfbench/tracing.py counts matmul FLOPs by it; Tensor keeps "
+                     "it as a constant True, since a recording graph differentiates "
+                     "every tensor it touches",
 }
 
 
@@ -93,6 +101,18 @@ def test_only_the_listed_names_are_kept_for_the_benchmark():
     bench_only = {name for name in _defined()
                   if name in by_bench and name not in by_package}
     assert bench_only == set(BENCHMARK_ONLY)
+
+
+def _attributes_read(*dirs):
+    return {node.attr for _, tree in _trees(*dirs) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_listed_attributes_are_read_by_the_benchmark_alone():
+    by_package = _attributes_read(PACKAGE)
+    by_bench = _attributes_read(ROOT / "perfbench")
+    for name in BENCHMARK_ONLY_ATTRIBUTES:
+        assert name not in by_package and name in by_bench, name
 
 
 def test_no_module_starts_threads_or_processes():

@@ -53,7 +53,7 @@ class TestBceWithLogits:
         rng = np.random.default_rng(1)
         z = rng.normal(size=32)
         y = rng.integers(0, 2, size=32).astype(float)
-        logits = Tensor(z, requires_grad=True)
+        logits = Tensor(z)
         g = Graph()
         g.backward(bce_with_logits(g, logits, y))
         assert np.array_equal(logits.grad, (stable_sigmoid(z) - y) / 32)
