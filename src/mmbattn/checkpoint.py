@@ -1,14 +1,16 @@
 """Versioned binary checkpoints: named parameter manifest + f64 payload.
 
 Layout (little-endian):
-  magic "MMBC" | u16 version | 32-byte config digest | u32 entry count |
+  magic "MMBC" | u16 version | 32-byte run digest | u32 entry count |
   entries { u16 name length | name utf-8 | u8 ndim | u32 × ndim extents |
             u64 element offset } |
-  u64 total element count | payload (total × f64)
+  u64 total element count | 32-byte SHA-256 of the payload |
+  payload (total × f64)
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -20,9 +22,10 @@ from .autograd import Tensor
 from .errors import CheckpointError, ContractError, reading
 
 MAGIC = b"MMBC"
-# Version 2 stores attention weights (in, out).  Version 1 files held them
-# (out, in); square weights would pass the shape check, so v1 is refused.
-VERSION = 2
+# Version 3 adds the payload SHA-256.  Version 2 files have none, and version 1
+# files held attention weights (out, in), which square weights would let past
+# the shape check; both are refused.
+VERSION = 3
 
 
 @dataclass
@@ -32,10 +35,10 @@ class Checkpoint:
     payload: np.ndarray
 
 
-def save_checkpoint(path, registry: dict[str, Tensor], config_digest: bytes) -> None:
-    if len(config_digest) != 32:
-        raise ContractError("config digest must be 32 bytes (SHA-256)")
-    chunks = [MAGIC, struct.pack("<H", VERSION), config_digest,
+def save_checkpoint(path, registry: dict[str, Tensor], digest: bytes) -> None:
+    if len(digest) != 32:
+        raise ContractError("run digest must be 32 bytes (SHA-256)")
+    chunks = [MAGIC, struct.pack("<H", VERSION), digest,
               struct.pack("<I", len(registry))]
     offset = 0
     for name, tensor in registry.items():
@@ -47,9 +50,9 @@ def save_checkpoint(path, registry: dict[str, Tensor], config_digest: bytes) -> 
         chunks.append(struct.pack(f"<{len(shape)}I", *shape))
         chunks.append(struct.pack("<Q", offset))
         offset += tensor.data.size
-    chunks.append(struct.pack("<Q", offset))
-    chunks.extend(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-                  for t in registry.values())
+    payload = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+                       for t in registry.values())
+    chunks += [struct.pack("<Q", offset), hashlib.sha256(payload).digest(), payload]
     write_atomic(path, b"".join(chunks))
 
 
@@ -107,9 +110,14 @@ def load_checkpoint(path) -> Checkpoint:
         (offset,) = unpack("<Q")
         entries.append((name, shape, offset))
     (total,) = unpack("<Q")
-    payload = np.frombuffer(blob, "<f8", count=total, offset=take(total * 8))
+    (checksum,) = unpack("32s")
+    at = take(total * 8)
     if pos != len(blob):
         raise CheckpointError(f"{path}: trailing garbage at byte {pos}")
+    if hashlib.sha256(memoryview(blob)[at:]).digest() != checksum:
+        raise CheckpointError(f"{path}: payload checksum mismatch: the payload "
+                              f"from byte {at} is corrupt")
+    payload = np.frombuffer(blob, "<f8", count=total, offset=at)
     expected = 0
     for name, shape, offset in entries:
         if offset != expected:
@@ -122,13 +130,13 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(digest=digest, entries=entries, payload=payload)
 
 
-def restore_model(model, ckpt: Checkpoint, expected_digest: bytes | None = None,
-                  force: bool = False) -> None:
+def restore_model(model, ckpt: Checkpoint, expected_digest: bytes | None = None) -> None:
     """Copy the payload into ``model.params``; the manifest must equal
-    ``model.layout``, offsets included."""
-    if expected_digest is not None and ckpt.digest != expected_digest and not force:
+    ``model.layout``, offsets included, and the run digest must equal
+    ``expected_digest`` unless that is None."""
+    if expected_digest is not None and ckpt.digest != expected_digest:
         raise CheckpointError(
-            f"config digest mismatch: checkpoint {ckpt.digest.hex()} vs "
+            f"run digest mismatch: checkpoint {ckpt.digest.hex()} vs "
             f"current {expected_digest.hex()} (use --force to load anyway)")
     if ckpt.entries != list(model.layout):
         raise CheckpointError(f"parameter manifest mismatch: checkpoint has "

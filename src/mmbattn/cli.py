@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from .attention import ABLATION_ROWS
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
 from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
                    hash_split, read_table, synth_generate, synth_write_csv)
-from .errors import CheckpointError, ConfigError, DataError, MMBAttnError, naming, reading
+from .errors import ConfigError, DataError, MMBAttnError, naming
 from .gradcheck import run_gradcheck
 from .model import Model, build
 from .seeding import derive_seed
@@ -82,14 +83,21 @@ def _build_model(cfg: RunConfig, seed: int, prepared: PreparedData) -> Model:
                  cfg.attn, cfg.tower, derive_seed(seed, "model-init"))
 
 
+def run_digest(cfg: RunConfig, seed: int, prepared: PreparedData) -> bytes:
+    """The digest a checkpoint carries: its config and seed, and its train
+    split, whose first-seen order fixes the value each embedding row stands for."""
+    return hashlib.sha256(cfg.digest(seed) + prepared.train.digest().encode()).digest()
+
+
 def run_single(cfg: RunConfig, seed: int, out_dir: Path,
                prepared: PreparedData) -> EvalReport:
     """Train one seed; writes metrics.jsonl, checkpoint.mmbc, run_info.json.
 
     ``metrics.jsonl`` is rewritten whole after each record, so a killed run
-    leaves every record emitted so far."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    leaves every record emitted so far.  The model is built before
+    ``out_dir`` is made, so a config it cannot build leaves nothing."""
     model = _build_model(cfg, seed, prepared)
+    out_dir.mkdir(parents=True, exist_ok=True)
     lines: list[str] = []
 
     def emit(record: dict) -> None:
@@ -98,11 +106,11 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
 
     report = train(model, prepared.train, prepared.valid, prepared.test,
                    cfg.train, run_seed=seed, emit=emit)
-    digest = cfg.digest(seed)
-    ckpt.save_checkpoint(out_dir / "checkpoint.mmbc", model.registry, digest)
+    ckpt.save_checkpoint(out_dir / "checkpoint.mmbc", model.registry,
+                         run_digest(cfg, seed, prepared))
     info = {
         "seed": seed,
-        "config_digest": digest.hex(),
+        "config_digest": cfg.digest(seed).hex(),
         "canonical_config": cfg.canonical_lines((seed,)),
         "data_digest": prepared.digests(),
         "test_auc": report.auc,
@@ -193,33 +201,16 @@ def cmd_evaluate(args) -> int:
         paths = [_out_dir(cfg, args) / f"seed_{seed}" / "checkpoint.mmbc"
                  for seed in cfg.seeds]
     checkpoints = [ckpt.load_checkpoint(path) for path in paths]
-    infos = [] if args.force else [path.parent / "run_info.json" for path in paths]
-    trained_on = [_train_digest(info) for info in infos]
     prepared = prepare_data(cfg)
-    current = prepared.train.digest()
-    for info, recorded in zip(infos, trained_on):
-        if recorded != current:
-            raise CheckpointError(f"{info}: train split digest mismatch: checkpoint "
-                                  f"trained on {recorded} vs current {current} "
-                                  f"(use --force to load anyway)")
-    for seed, checkpoint in zip(cfg.seeds, checkpoints):
+    for seed, path, checkpoint in zip(cfg.seeds, paths, checkpoints):
         model = _build_model(cfg, seed, prepared)
-        ckpt.restore_model(model, checkpoint, expected_digest=cfg.digest(seed),
-                           force=args.force)
+        with naming(path):
+            ckpt.restore_model(model, checkpoint,
+                               None if args.force else run_digest(cfg, seed, prepared))
         report = evaluate(model, prepared.test)
         print(json.dumps({"seed": seed, "split": "test", "auc": report.auc,
                           "logloss": report.logloss, "n": report.n}, sort_keys=True))
     return 0
-
-
-def _train_digest(info_path: Path) -> str:
-    """The train split digest a run recorded in its ``run_info.json``."""
-    with reading(info_path, CheckpointError):
-        text = info_path.read_text(encoding="utf-8")
-    try:
-        return json.loads(text)["data_digest"]["train"]
-    except (ValueError, KeyError, TypeError):
-        raise CheckpointError(f"{info_path}: no data_digest.train recorded") from None
 
 
 def cmd_ablate(args) -> int:
@@ -317,7 +308,8 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     cp = ckpt.load_checkpoint(args.checkpoint)
     print(f"checkpoint {args.checkpoint}")
-    print(f"config digest {cp.digest.hex()}")
+    print(f"version {ckpt.VERSION}")
+    print(f"run digest {cp.digest.hex()}")
     print(f"{len(cp.entries)} parameters, {cp.payload.size} values")
     for name, shape, offset in cp.entries:
         print(f"  {name:<24} shape {str(tuple(shape)):<16} offset {offset}")
@@ -353,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint path for a single seed "
                                  "(default: <out>/seed_<s>/checkpoint.mmbc per seed)")
             sp.add_argument("--force", action="store_true",
-                            help="ignore config and train split digest mismatches")
+                            help="ignore a run digest mismatch (config, seed or "
+                                 "train split); the payload checksum still holds")
         if name == "sweep":
             sp.add_argument("--axis", required=True, choices=sorted(_SWEEP_KEYS))
             sp.add_argument("--values", required=True,

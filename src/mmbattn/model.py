@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,15 +108,26 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
     branch weights Normal(0, 1/C) for branch input width C, drawn (out, in)
     as earlier releases stored them, then transposed to (in, out); tower
     weights Normal(0, 1/fan_in) and zero biases.  Attention off is
-    ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``."""
+    ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``.
+
+    Weights that would take the parameters past physical memory raise a
+    ``ConfigError`` naming the config key that sizes them, before they
+    are drawn."""
     if d < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = 0
 
-    def draw(name: str, std: float, shape: tuple[int, int]) -> np.ndarray:
+    def draw(name: str, key: str, std: float, shape: tuple[int, int]) -> np.ndarray:
+        nonlocal need
+        need += 8 * shape[0] * shape[1]
+        if need > memory:
+            raise ConfigError(f"{key}: the model's parameters need at least {need:,} "
+                              f"bytes, more than the {memory:,} bytes of physical memory")
         return np.random.default_rng(derive_seed(seed, f"init:{name}")).normal(
             0.0, std, size=shape)
 
-    arrays = {f"embed.{name}": draw(f"embed.{name}", 0.01, (size, d))
+    arrays = {f"embed.{name}": draw(f"embed.{name}", "model.embedding_dim", 0.01, (size, d))
               for name, size in zip(schema.field_names, vocab.sizes)}
     for branch, on, c in (("max", attn.use_max, schema.n_fields),
                           ("mean", attn.use_mean, schema.n_fields),
@@ -124,10 +136,10 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
             h = hidden_width(c, attn.reduction_ratio)
             for part, shape in (("w1", (h, c)), ("w2", (c, h))):
                 name = f"attn.{branch}.{part}"
-                arrays[name] = draw(name, 1.0 / np.sqrt(c), shape).T
+                arrays[name] = draw(name, "model.embedding_dim", 1.0 / np.sqrt(c), shape).T
     widths = [schema.n_fields * d, *tower.hidden_sizes, 1]
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        arrays[f"tower.{i}.weight"] = draw(f"tower.{i}.weight", 1.0 / np.sqrt(fan_in),
-                                           (fan_in, fan_out))
+        arrays[f"tower.{i}.weight"] = draw(f"tower.{i}.weight", "model.hidden_sizes",
+                                           1.0 / np.sqrt(fan_in), (fan_in, fan_out))
         arrays[f"tower.{i}.bias"] = np.zeros(fan_out)
     return Model(arrays, attn)

@@ -142,7 +142,7 @@ def planted_runs(tmp_path_factory):
         model = build(prepared.schema, prepared.vocab, cfg.embedding_dim,
                       cfg.attn, cfg.tower, seed=0)
         restore_model(model, load_checkpoint(run_dir / "checkpoint.mmbc"),
-                      expected_digest=cfg.digest(seed))
+                      expected_digest=cli.run_digest(cfg, seed, prepared))
         weights = np.concatenate(
             [model.field_weights(b) for b in batches(prepared.test, 16384)])
         full[seed] = {"auc": rep.auc, "mean_weights": weights.mean(axis=0)}

@@ -102,8 +102,7 @@ class TestRejections:
         model = make_model()
         path = tmp_path / "model.mmbc"
         save_checkpoint(path, model.registry, DIGEST)
-        restore_model(model, load_checkpoint(path),
-                      expected_digest=bytes(32), force=True)
+        restore_model(model, load_checkpoint(path), expected_digest=None)
 
     def test_manifest_mismatch_rejected(self, tmp_path):
         ablated = make_model()  # no attention parameters
@@ -122,8 +121,20 @@ class TestRejections:
         path = tmp_path / "model.mmbc"
         save_checkpoint(path, model.registry, DIGEST)
         blob = path.read_bytes()
-        path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        for version in (1, 2):  # v2 files have no payload checksum
+            path.write_bytes(blob[:4] + struct.pack("<H", version) + blob[6:])
+            with pytest.raises(CheckpointError,
+                               match=f"unsupported checkpoint version {version}"):
+                load_checkpoint(path)
+
+    def test_flipped_payload_byte_names_file(self, tmp_path):
+        model = make_model()
+        path = tmp_path / "model.mmbc"
+        save_checkpoint(path, model.registry, DIGEST)
+        blob = bytearray(path.read_bytes())
+        blob[-20] ^= 0x40
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"model\.mmbc: payload checksum mismatch"):
             load_checkpoint(path)
 
 
@@ -143,7 +154,8 @@ class TestFuzz:
 
     @staticmethod
     def header_size(blob):
-        (total,) = struct.unpack("<Q", blob[-8 * 3 - 8:-8 * 3])  # 3 payload values
+        # u64 total, then the 32-byte payload SHA-256, then 3 payload values
+        (total,) = struct.unpack("<Q", blob[-8 * 3 - 32 - 8:-8 * 3 - 32])
         assert total == 3
         return len(blob) - 8 * total
 

@@ -11,6 +11,7 @@ import pytest
 
 from mmbattn import cli
 from mmbattn.autograd import Graph, accumulate_grad
+from mmbattn.checkpoint import load_checkpoint
 from mmbattn.config import load_run_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -114,6 +115,19 @@ class TestTrainCommand:
             ca = (out_a / f"seed_{seed}" / "checkpoint.mmbc").read_bytes()
             cb = (out_b / f"seed_{seed}" / "checkpoint.mmbc").read_bytes()
             assert ca == cb
+
+    @pytest.mark.parametrize("key, value", [("model.embedding_dim", "999999999994"),
+                                            ("model.hidden_sizes", "99999999999")])
+    def test_model_too_big_for_memory_refused_and_makes_nothing(self, tmp_path, capsys,
+                                                                key, value):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1", key: value})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {key}: the model's parameters need at least "
+                            r"[\d,]+ bytes, more than the [\d,]+ bytes of physical memory\n",
+                            err), err
+        assert not out.exists()
 
     def test_killed_run_keeps_every_record_emitted(self, tmp_path):
         # the child dies without unwinding right after the second record
@@ -253,19 +267,48 @@ class TestEvaluateCommand:
             test_record = read_metrics(out / f"seed_{p['seed']}" / "metrics.jsonl")[-1]
             assert p["auc"] == test_record["auc"]
 
-    def test_checkpoint_without_its_run_info_refused(self, tmp_path, capsys):
+    def test_lone_checkpoint_scores_its_training_run(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        test_record = read_metrics(out / "seed_1" / "metrics.jsonl")[-1]
         alone = tmp_path / "alone" / "checkpoint.mmbc"
         alone.parent.mkdir()
         shutil.copy(out / "seed_1" / "checkpoint.mmbc", alone)
-        args = ["evaluate", "--config", str(cfg), "--checkpoint", str(alone)]
         capsys.readouterr()
-        assert cli.main(args) == 1
-        assert capsys.readouterr().err == (f"error: {alone.parent / 'run_info.json'}: "
-                                           f"cannot read (No such file or directory)\n")
-        assert cli.main(args + ["--force"]) == 0
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(alone)]) == 0
+        printed = json.loads(capsys.readouterr().out.strip())
+        assert printed["auc"] == test_record["auc"]
+
+    def test_flipped_payload_byte_refused_even_with_force(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "seed_1" / "checkpoint.mmbc"
+        blob = bytearray(path.read_bytes())
+        blob[-100] ^= 0x40
+        path.write_bytes(bytes(blob))
+        args = ["evaluate", "--config", str(cfg), "--out", str(out)]
+        capsys.readouterr()
+        for force in ([], ["--force"]):
+            assert cli.main(args + force) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {path}: payload checksum mismatch")
+
+    def test_digest_mismatch_of_one_seed_names_its_checkpoint(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        wrong = out / "seed_2" / "checkpoint.mmbc"
+        shutil.copy(out / "seed_1" / "checkpoint.mmbc", wrong)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out),
+                         "--seed", "1", "--seed", "2"]) == 1
+        captured = capsys.readouterr()
+        assert [json.loads(line)["seed"] for line in captured.out.splitlines()] == [1]
+        assert captured.err.startswith(f"error: {wrong}: run digest mismatch: ")
+        assert captured.err.endswith(" (use --force to load anyway)\n")
 
     def test_checkpoint_with_two_seeds_refused_before_data_is_read(self, tmp_path, capsys,
                                                                     monkeypatch):
@@ -310,7 +353,6 @@ class TestAblateCommand:
         assert len(digests) == 1
 
     def test_toggles_do_not_shift_shared_parameters(self, tmp_path):
-        from mmbattn.checkpoint import load_checkpoint
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1",
                                              "train.max_epochs": "1"})
         out = tmp_path / "out"
@@ -334,7 +376,7 @@ class TestInspectCommand:
                        str(out / "seed_1" / "checkpoint.mmbc")])
         assert rc == 0
         printed = capsys.readouterr().out
-        assert "config digest" in printed
+        assert "version 3\nrun digest " in printed
         assert "embed.f0" in printed and "tower.0.weight" in printed
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
@@ -344,7 +386,7 @@ class TestInspectCommand:
 
     def test_corrupt_file_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.mmbc"
-        bad.write_bytes(b"MMBC\x02\x00" + b"\0" * 8)
+        bad.write_bytes(b"MMBC\x03\x00" + b"\0" * 8)
         assert cli.main(["inspect-checkpoint", str(bad)]) == 1
         assert "truncated" in capsys.readouterr().err
 
@@ -581,20 +623,39 @@ class TestCsvPipeline:
         cfg = self.write_csv_run(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        trained_on = json.loads((out / "seed_1" / "run_info.json").read_text())
-        path = tmp_path / "data" / "train.csv"
-        header, *rows = path.read_text().splitlines()
-        rows.sort(key=lambda row: row.split(",")[1:])
-        path.write_text("".join(line + "\n" for line in (header, *rows)))
-        current = cli.prepare_data(load_run_config(cfg)).train.digest()
+        path = out / "seed_1" / "checkpoint.mmbc"
+        trained_on = load_checkpoint(path).digest
+        self.reorder_train_rows(tmp_path)
+        run_cfg = load_run_config(cfg)
+        current = cli.run_digest(run_cfg, 1, cli.prepare_data(run_cfg))
         capsys.readouterr()
         args = ["evaluate", "--config", str(cfg), "--out", str(out)]
         assert cli.main(args) == 1
         assert capsys.readouterr().err == (
-            f"error: {out / 'seed_1' / 'run_info.json'}: train split digest mismatch: "
-            f"checkpoint trained on {trained_on['data_digest']['train']} vs current "
-            f"{current} (use --force to load anyway)\n")
+            f"error: {path}: run digest mismatch: checkpoint {trained_on.hex()} vs "
+            f"current {current.hex()} (use --force to load anyway)\n")
         assert cli.main(args + ["--force"]) == 0
+
+    def test_lone_checkpoint_refused_after_train_csv_reordered(self, tmp_path, capsys):
+        cfg = self.write_csv_run(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        alone = tmp_path / "alone.mmbc"
+        shutil.copy(out / "seed_1" / "checkpoint.mmbc", alone)
+        args = ["evaluate", "--config", str(cfg), "--checkpoint", str(alone)]
+        assert cli.main(args) == 0
+        self.reorder_train_rows(tmp_path)
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {alone}: run digest mismatch: ")
+        assert cli.main(args + ["--force"]) == 0
+
+    @staticmethod
+    def reorder_train_rows(tmp_path):
+        path = tmp_path / "data" / "train.csv"
+        header, *rows = path.read_text().splitlines()
+        rows.sort(key=lambda row: row.split(",")[1:])
+        path.write_text("".join(line + "\n" for line in (header, *rows)))
 
     def test_header_missing_a_schema_column_names_file(self, tmp_path, capsys):
         cfg = self.write_csv_run(tmp_path)
