@@ -10,6 +10,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, enc
                    hash_split, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, DataError, MMBAttnError, naming
 from .gradcheck import run_gradcheck
-from .model import Model, build
+from .model import Model, build, check_fits
 from .seeding import derive_seed
 from .training import EvalReport, evaluate, train
 
@@ -158,16 +159,21 @@ def _summarize(reports: dict[int, EvalReport]) -> dict[str, float]:
 
 
 def _run_grid(cfg: RunConfig, args, runs) -> tuple[Path, list[dict[int, EvalReport]]]:
-    """Train every seed of each ``(subdirectory, config)`` run on data
+    """Train every seed of each ``(subdirectory, config, where)`` run on data
     prepared once from ``cfg``; returns the output directory and each run's
     reports by seed.  An output path where a run directory cannot be made is
-    refused before any data is read.  No run's overrides may affect data
-    preparation."""
+    refused before any data is read, and a model too big to build before the
+    first run trains, prefixed with its run's ``where`` unless that is None.
+    No run's overrides may affect data preparation."""
     out_dir = _out_dir(cfg, args)
-    _check_out([out_dir / sub for sub, _ in runs], cfg.seeds)
+    _check_out([out_dir / sub for sub, _, _ in runs], cfg.seeds)
     prepared = prepare_data(cfg)
+    for _, run_cfg, where in runs:
+        with nullcontext() if where is None else naming(where):
+            check_fits(prepared.schema, prepared.vocab, run_cfg.embedding_dim,
+                       run_cfg.attn, run_cfg.tower)
     return out_dir, [{seed: run_single(run_cfg, seed, out_dir / sub / f"seed_{seed}", prepared)
-                      for seed in cfg.seeds} for sub, run_cfg in runs]
+                      for seed in cfg.seeds} for sub, run_cfg, _ in runs]
 
 
 # -- commands ---------------------------------------------------------------
@@ -175,7 +181,7 @@ def _run_grid(cfg: RunConfig, args, runs) -> tuple[Path, list[dict[int, EvalRepo
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    out_dir, (reports,) = _run_grid(cfg, args, [("", cfg)])
+    out_dir, (reports,) = _run_grid(cfg, args, [("", cfg, None)])
     for seed, rep in reports.items():
         print(f"seed {seed}: test auc {rep.auc:.5f} logloss {rep.logloss:.5f}")
     s = _summarize(reports)
@@ -219,7 +225,7 @@ def cmd_ablate(args) -> int:
         (slug, cfg.override({
             key: "true" if on else "false"
             for key, on in zip(("attn.use_max", "attn.use_mean", "attn.use_bitwise"),
-                               toggles)}))
+                               toggles)}), None)
         for _, slug, toggles in ABLATION_ROWS])
     rows = []
     base_auc = None
@@ -255,11 +261,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     runs = []
     for value in values:
-        with naming(f"{args.config}: --values {value}"):
+        where = f"{args.config}: --values {value}"
+        with naming(where):
             run_cfg = cfg.override({key: value})
-            if any(run_cfg.values[key] == c.values[key] for _, c in runs):
+            if any(run_cfg.values[key] == c.values[key] for _, c, _ in runs):
                 raise ConfigError("repeats an earlier value")
-            runs.append((f"{args.axis}_{value}", run_cfg))
+            runs.append((f"{args.axis}_{value}", run_cfg, where))
     out_dir, grid = _run_grid(cfg, args, runs)
     rows = [{"value": value, **_summarize(reports)} for value, reports in zip(values, grid)]
     print(f"{args.axis:>16}  {'AUC':>8}  {'LogLoss':>8}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -99,6 +100,43 @@ class Model:
         return collect["w_mm"].data
 
 
+def _initial_arrays(schema: FieldSchema, vocab: Vocabulary, d: int,
+                    attn: MMBAttnConfig, tower: TowerConfig):
+    """Every parameter in registry order as ``(name, key, std, shape)``:
+    ``key`` is the config key that sizes it, ``shape`` the shape it is
+    drawn in, and a ``std`` of None means zeros."""
+    for name, size in zip(schema.field_names, vocab.sizes):
+        yield f"embed.{name}", "model.embedding_dim", 0.01, (size, d)
+    for branch, on, c in (("max", attn.use_max, schema.n_fields),
+                          ("mean", attn.use_mean, schema.n_fields),
+                          ("bit", attn.use_bitwise, schema.n_fields * d)):
+        if on:
+            h = hidden_width(c, attn.reduction_ratio)
+            for part, shape in (("w1", (h, c)), ("w2", (c, h))):
+                yield f"attn.{branch}.{part}", "model.embedding_dim", 1.0 / np.sqrt(c), shape
+    widths = [schema.n_fields * d, *tower.hidden_sizes, 1]
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        yield (f"tower.{i}.weight", "model.hidden_sizes", 1.0 / np.sqrt(fan_in),
+               (fan_in, fan_out))
+        yield f"tower.{i}.bias", "model.hidden_sizes", None, (fan_out,)
+
+
+def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,
+               attn: MMBAttnConfig, tower: TowerConfig) -> None:
+    """Refuse, without drawing anything, a model ``build`` cannot make:
+    ``d < 1``, or parameters past physical memory, with a ``ConfigError``
+    naming the config key whose weights cross it."""
+    if d < 1:
+        raise ConfigError("model.embedding_dim must be >= 1")
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = 0
+    for _, key, _, shape in _initial_arrays(schema, vocab, d, attn, tower):
+        need += 8 * math.prod(shape)
+        if need > memory:
+            raise ConfigError(f"{key}: the model's parameters need at least {need:,} "
+                              f"bytes, more than the {memory:,} bytes of physical memory")
+
+
 def build(schema: FieldSchema, vocab: Vocabulary, d: int,
           attn: MMBAttnConfig, tower: TowerConfig, seed: int) -> Model:
     """Deterministic model construction with a documented registry order.
@@ -109,37 +147,14 @@ def build(schema: FieldSchema, vocab: Vocabulary, d: int,
     as earlier releases stored them, then transposed to (in, out); tower
     weights Normal(0, 1/fan_in) and zero biases.  Attention off is
     ``MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)``.
-
-    Weights that would take the parameters past physical memory raise a
-    ``ConfigError`` naming the config key that sizes them, before they
-    are drawn."""
-    if d < 1:
-        raise ConfigError("model.embedding_dim must be >= 1")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    need = 0
-
-    def draw(name: str, key: str, std: float, shape: tuple[int, int]) -> np.ndarray:
-        nonlocal need
-        need += 8 * shape[0] * shape[1]
-        if need > memory:
-            raise ConfigError(f"{key}: the model's parameters need at least {need:,} "
-                              f"bytes, more than the {memory:,} bytes of physical memory")
-        return np.random.default_rng(derive_seed(seed, f"init:{name}")).normal(
+    ``check_fits`` runs first, so a model it refuses draws nothing."""
+    check_fits(schema, vocab, d, attn, tower)
+    arrays = {}
+    for name, _, std, shape in _initial_arrays(schema, vocab, d, attn, tower):
+        if std is None:
+            arrays[name] = np.zeros(shape)
+            continue
+        a = np.random.default_rng(derive_seed(seed, f"init:{name}")).normal(
             0.0, std, size=shape)
-
-    arrays = {f"embed.{name}": draw(f"embed.{name}", "model.embedding_dim", 0.01, (size, d))
-              for name, size in zip(schema.field_names, vocab.sizes)}
-    for branch, on, c in (("max", attn.use_max, schema.n_fields),
-                          ("mean", attn.use_mean, schema.n_fields),
-                          ("bit", attn.use_bitwise, schema.n_fields * d)):
-        if on:
-            h = hidden_width(c, attn.reduction_ratio)
-            for part, shape in (("w1", (h, c)), ("w2", (c, h))):
-                name = f"attn.{branch}.{part}"
-                arrays[name] = draw(name, "model.embedding_dim", 1.0 / np.sqrt(c), shape).T
-    widths = [schema.n_fields * d, *tower.hidden_sizes, 1]
-    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-        arrays[f"tower.{i}.weight"] = draw(f"tower.{i}.weight", "model.hidden_sizes",
-                                           1.0 / np.sqrt(fan_in), (fan_in, fan_out))
-        arrays[f"tower.{i}.bias"] = np.zeros(fan_out)
+        arrays[name] = a.T if name.startswith("attn.") else a
     return Model(arrays, attn)

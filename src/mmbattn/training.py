@@ -82,7 +82,7 @@ def auc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: needs at least one positive and one negative")
-    order = np.argsort(s, kind="stable")
+    order = np.argsort(s)  # ties share a midrank, so their order is moot
     ss = s[order]
     boundaries = np.nonzero(np.diff(ss))[0]
     starts = np.concatenate(([0], boundaries + 1))

@@ -147,6 +147,32 @@ class TestReduce:
         g.backward(g.reduce_max(a, 0))
         assert a.grad.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 8, 10, 16, 64])
+    def test_max_equals_numpy_max_bit_for_bit(self, d, record):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(6, 5, d))
+        x[:3] = rng.integers(-3, 4, size=(3, 5, d)) / 2.0  # ties, but no -0.0
+        x[3, 0] = np.nan
+        x[3, 1, d // 2] = np.nan
+        x[4, 0] = np.inf
+        x[4, 1] = -np.inf
+        x[4, 2, -1] = np.inf
+        x[5, 3, 0] = -np.inf
+        for axis in range(3):
+            out = Graph(record=record).reduce_max(Tensor(x), axis)
+            assert out.data.tobytes() == np.max(x, axis=axis).tobytes(), axis
+
+    @pytest.mark.parametrize("row", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_signed_zero_tie_returns_the_element_its_gradient_goes_to(self, row):
+        # np.max may return either zero of a tie; reduce_max reads the first
+        g = Graph()
+        a = Tensor(row)
+        m = g.reduce_max(a, 0)
+        assert np.signbit(m.data) == np.signbit(row[0])
+        g.backward(m)
+        assert a.grad.tolist() == [1.0, 0.0]
+
     def test_mean_backward_uniform(self):
         g = Graph()
         a = Tensor(np.arange(12.0).reshape(3, 4))

@@ -459,6 +459,18 @@ class TestSweepCommand:
         assert err.startswith(f"error: {cfg}: --values 0: attn.reduction_ratio must be >= 1")
         assert not (out / "reduction_ratio_3").exists()
 
+    def test_oversized_value_refused_before_any_training(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--axis", "embedding_dim", "--values", "4,999999999994"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(cfg))}: --values 999999999994: "
+                            r"model.embedding_dim: the model's parameters need at least "
+                            r"[\d,]+ bytes, more than the [\d,]+ bytes of physical memory\n",
+                            err), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("values, repeated", [("2,4,2", "2"), ("2,02", "02")])
     def test_repeated_value_refused_before_any_training(self, tmp_path, capsys,
                                                          values, repeated):

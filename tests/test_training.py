@@ -29,6 +29,21 @@ def pairwise_auc_oracle(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def stable_midrank_auc(scores, labels):
+    """Midrank AUC over a stable sort, as ``auc`` computed it before it
+    took numpy's default sort: the bit-for-bit reference."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n_pos = int(y.sum())
+    order = np.argsort(s, kind="stable")
+    boundaries = np.nonzero(np.diff(s[order]))[0]
+    starts = np.concatenate(([0], boundaries + 1))
+    ends = np.concatenate((boundaries, [s.size - 1]))
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
+    return (float(ranks[y == 1.0].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * (y.size - n_pos))
+
+
 class TestBceLoss:
     def test_half_probability_is_ln2(self):
         assert bce_loss([0.5], [1.0]) == pytest.approx(math.log(2), abs=1e-15)
@@ -96,6 +111,18 @@ class TestAuc:
             if labels.sum() in (0, n):
                 labels[0] = 1.0 - labels[0]
             assert auc(scores, labels) == pairwise_auc_oracle(scores, labels)
+
+    def test_bit_equal_to_stable_sort_reference_on_ties(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(2, 20001))
+            # a few distinct values, signed zeros among them: large tie groups
+            scores = rng.integers(-4, 5, size=n) * float(rng.choice([0.25, 1e-300, 3.0]))
+            scores[rng.random(n) < 0.1] = -0.0
+            labels = rng.integers(0, 2, size=n).astype(float)
+            if labels.sum() in (0, n):
+                labels[0] = 1.0 - labels[0]
+            assert auc(scores, labels) == stable_midrank_auc(scores, labels)
 
     def test_single_class_undefined(self):
         with pytest.raises(DataError):
