@@ -41,9 +41,8 @@ class MMBAttnConfig:
                               f"got {self.combine_mode!r}")
 
 
-# The six component combinations of the paper's ablation table, which are
-# every configuration of the module: display name, slug, and the
-# (use_max, use_mean, use_bitwise) toggles.
+# The six component combinations of the paper's ablation table: display
+# name, slug, and the (use_max, use_mean, use_bitwise) toggles.
 ABLATION_ROWS = (
     ("DNN", "base", (False, False, False)),
     ("DNN + Mean", "mean", (False, True, False)),

@@ -38,9 +38,6 @@ class PreparedData:
     valid: Batch
     test: Batch
 
-    def digests(self) -> dict[str, str]:
-        return {split: getattr(self, split).digest() for split in SPLITS}
-
 
 def prepare_data(cfg: RunConfig) -> PreparedData:
     """Load the configured splits; refuse a valid or test split AUC cannot score."""
@@ -113,7 +110,7 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
         "seed": seed,
         "config_digest": cfg.digest(seed).hex(),
         "canonical_config": cfg.canonical_lines((seed,)),
-        "data_digest": prepared.digests(),
+        "data_digest": {split: getattr(prepared, split).digest() for split in SPLITS},
         "test_auc": report.auc,
         "test_logloss": report.logloss,
     }
@@ -258,7 +255,7 @@ def cmd_sweep(args) -> int:
     key = _SWEEP_KEYS[args.axis]
     values = [part.strip() for part in args.values.split(",") if part.strip()]
     if not values:
-        raise ConfigError("--values must list at least one value")
+        raise ConfigError(f"{args.config}: --values must list at least one value")
     runs = []
     for value in values:
         where = f"{args.config}: --values {value}"
@@ -286,17 +283,11 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("gradcheck needs a tiny model: at most 4 fields")
     if cfg.embedding_dim > 3:
         raise ConfigError("gradcheck needs a tiny model: embedding_dim at most 3")
-    batch = prepared.train.take(slice(0, min(8, prepared.train.n)))
-    worst: dict[str, float] = {}
-    for seed in cfg.seeds:
-        for name, err in run_gradcheck(prepared.schema, prepared.vocab, batch,
-                                       cfg.embedding_dim, cfg.tower,
-                                       cfg.attn.reduction_ratio, seed).items():
-            worst[name] = max(worst.get(name, 0.0), err)
-    overall = 0.0
+    worst = run_gradcheck(prepared.schema, prepared.vocab, prepared.train.take(slice(0, 8)),
+                          cfg.embedding_dim, cfg.tower, cfg.attn.reduction_ratio, cfg.seeds)
     for name in sorted(worst):
         print(f"{name:<24} max relative error {worst[name]:.3e}")
-        overall = max(overall, worst[name])
+    overall = max(worst.values())
     ok = overall < GRADCHECK_TOL
     print(f"overall max relative error {overall:.3e} "
           f"({'PASS' if ok else 'FAIL'}, tolerance {GRADCHECK_TOL:.0e})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .attention import MMBAttnConfig
-from .data import CATEGORICAL, NUMERIC, FieldSchema, SynthSpec
+from .data import FieldSchema, SynthSpec
 from .errors import ConfigError, naming, reading
 from .model import TowerConfig
 from .training import TrainConfig
@@ -242,22 +242,16 @@ _SCHEMA_KEYS: dict[str, tuple] = {
     "schema.buckets": (int, FieldSchema.buckets),
     "schema.delimiter": (_parse_delimiter, FieldSchema.delimiter),
 }
-_KINDS = {"categorical": CATEGORICAL, "numeric": NUMERIC}
 
 
 def load_schema(path) -> FieldSchema:
     """Schema file: ``schema.*`` options plus ordered ``field.<name> = kind``."""
     kv = parse_kv(path)
     with naming(path):
-        fields = []
-        for key in [k for k in kv if k.startswith("field.")]:
-            name, kind = key[len("field."):], kv.pop(key)
-            if kind not in _KINDS:
-                raise ConfigError(f"field {name!r}: unknown kind {kind!r} "
-                                  f"(expected categorical or numeric)")
-            fields.append((name, _KINDS[kind]))
+        fields = tuple((key[len("field."):], kv.pop(key))
+                       for key in [k for k in kv if k.startswith("field.")])
         options = _read_keys(kv, _SCHEMA_KEYS)
-        return FieldSchema(fields=tuple(fields),
+        return FieldSchema(fields=fields,
                            label_column=options["schema.label"],
                            min_count=options["schema.min_count"],
                            buckets=options["schema.buckets"],

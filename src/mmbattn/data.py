@@ -49,7 +49,8 @@ class FieldSchema:
             raise ConfigError(f"label column {self.label_column!r} is also a feature field")
         for name, kind in self.fields:
             if kind not in (CATEGORICAL, NUMERIC):
-                raise ConfigError(f"field {name!r} has unknown kind {kind!r}")
+                raise ConfigError(f"field {name!r}: unknown kind {kind!r} "
+                                  f"(expected categorical or numeric)")
         if self.min_count < 1:
             raise ConfigError("min_count must be >= 1")
         if self.buckets < 1:

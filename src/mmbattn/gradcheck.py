@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .attention import ABLATION_ROWS, MMBAttnConfig
+from .attention import MMBAttnConfig
 from .autograd import Graph
 from .data import Batch, FieldSchema, Vocabulary
 from .model import TowerConfig, build
@@ -48,16 +49,17 @@ def check_model(model, batch: Batch) -> dict[str, float]:
 
 
 def run_gradcheck(schema: FieldSchema, vocab: Vocabulary, batch: Batch, d: int,
-                  tower: TowerConfig, reduction_ratio: int, seed: int) -> dict[str, float]:
-    """FD comparison across all six ablation combinations.
+                  tower: TowerConfig, reduction_ratio: int,
+                  seeds: tuple[int, ...]) -> dict[str, float]:
+    """FD comparison for every seed and all eight (use_max, use_mean,
+    use_bitwise) combinations.
 
     Returns the max relative error per parameter group, aggregated over
-    every configuration in which the group exists.
+    every model in which the group exists.
     """
     worst: dict[str, float] = {}
-    for _, _, (use_max, use_mean, use_bit) in ABLATION_ROWS:
-        attn = MMBAttnConfig(use_max=use_max, use_mean=use_mean, use_bitwise=use_bit,
-                             reduction_ratio=reduction_ratio)
+    for seed, toggles in itertools.product(seeds, itertools.product((False, True), repeat=3)):
+        attn = MMBAttnConfig(*toggles, reduction_ratio=reduction_ratio)
         model = build(schema, vocab, d, attn, tower, seed)
         for name, err in check_model(model, batch).items():
             worst[name] = max(worst.get(name, 0.0), err)

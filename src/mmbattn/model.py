@@ -121,19 +121,27 @@ def _initial_arrays(schema: FieldSchema, vocab: Vocabulary, d: int,
         yield f"tower.{i}.bias", "model.hidden_sizes", None, (fan_out,)
 
 
+# Float64 vectors as long as ``Model.params`` that a training run holds at
+# once: the parameters, their gradients, Adam's two moments and two scratch
+# vectors, the best epoch's snapshot, and the new snapshot ``train`` takes
+# before it drops the old one.  ``build`` peaks lower: its drawn arrays, the
+# concatenated parameters and the gradients.
+TRAINING_COPIES = 8
+
+
 def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,
                attn: MMBAttnConfig, tower: TowerConfig) -> None:
     """Refuse, without drawing anything, a model ``build`` cannot make:
-    ``d < 1``, or parameters past physical memory, with a ``ConfigError``
-    naming the config key whose weights cross it."""
+    ``d < 1``, or ``TRAINING_COPIES`` copies of its parameters past physical
+    memory, with a ``ConfigError`` naming the config key whose weights cross it."""
     if d < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     need = 0
     for _, key, _, shape in _initial_arrays(schema, vocab, d, attn, tower):
-        need += 8 * math.prod(shape)
+        need += TRAINING_COPIES * 8 * math.prod(shape)
         if need > memory:
-            raise ConfigError(f"{key}: the model's parameters need at least {need:,} "
+            raise ConfigError(f"{key}: training the model needs at least {need:,} "
                               f"bytes, more than the {memory:,} bytes of physical memory")
 
 

@@ -13,6 +13,7 @@ from mmbattn import cli
 from mmbattn.autograd import Graph, accumulate_grad
 from mmbattn.checkpoint import load_checkpoint
 from mmbattn.config import load_run_config
+from mmbattn.data import SPLITS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -124,7 +125,7 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(f"error: {key}: the model's parameters need at least "
+        assert re.fullmatch(f"error: {key}: training the model needs at least "
                             r"[\d,]+ bytes, more than the [\d,]+ bytes of physical memory\n",
                             err), err
         assert not out.exists()
@@ -153,6 +154,12 @@ class TestTrainCommand:
         assert proc.returncode == 9, proc.stderr
         records = read_metrics(out / "seed_1" / "metrics.jsonl")
         assert [(r["epoch"], r["split"]) for r in records] == [(1, "valid"), (2, "valid")]
+
+    def test_default_out_is_runs_under_the_config_stem(self, tmp_path, monkeypatch):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1", "train.max_epochs": "1"})
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "runs" / "run" / "seed_1" / "checkpoint.mmbc").is_file()
 
     def test_out_path_that_is_a_file_exits_with_error(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
@@ -459,6 +466,15 @@ class TestSweepCommand:
         assert err.startswith(f"error: {cfg}: --values 0: attn.reduction_ratio must be >= 1")
         assert not (out / "reduction_ratio_3").exists()
 
+    def test_no_value_refused_naming_the_config(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--axis", "reduction_ratio", "--values", ","]) == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: --values must list at least "
+                                           f"one value\n")
+        assert not out.exists()
+
     def test_oversized_value_refused_before_any_training(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path)
         out = tmp_path / "out"
@@ -466,7 +482,7 @@ class TestSweepCommand:
                          "--axis", "embedding_dim", "--values", "4,999999999994"]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(f"error: {re.escape(str(cfg))}: --values 999999999994: "
-                            r"model.embedding_dim: the model's parameters need at least "
+                            r"model.embedding_dim: training the model needs at least "
                             r"[\d,]+ bytes, more than the [\d,]+ bytes of physical memory\n",
                             err), err
         assert not out.exists()
@@ -530,6 +546,14 @@ class TestGradcheckCommand:
         cfg = write_tiny_config(tmp_path, **{"model.embedding_dim": "5"})
         assert cli.main(["gradcheck", "--config", str(cfg)]) == 1
         assert "tiny" in capsys.readouterr().err
+
+    def test_rejects_five_fields(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path)
+        synth = tmp_path / "synth.conf"
+        synth.write_text(synth.read_text().replace("synth.fields = 3", "synth.fields = 5"))
+        assert cli.main(["gradcheck", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("error: gradcheck needs a tiny model: "
+                                           "at most 4 fields\n")
 
 
 class TestSynthCommand:
@@ -627,7 +651,8 @@ class TestCsvPipeline:
             rows = [line.split(",") for line in path.read_text().splitlines()]
             path.write_text("".join(",".join([r[1], r[0], *r[2:]]) + "\n" for r in rows))
         swapped = cli.prepare_data(load_run_config(cfg))
-        assert swapped.digests() == plain.digests()
+        assert ([getattr(swapped, split).digest() for split in SPLITS]
+                == [getattr(plain, split).digest() for split in SPLITS])
 
     def test_evaluate_refuses_a_reordered_train_csv(self, tmp_path, capsys):
         # reordering rows changes the first-seen vocabulary order, so every
@@ -802,6 +827,8 @@ class TestConfigErrorsNameTheirFile:
         ("train.batch_size = 0", "train.batch_size must be >= 1"),
         ("train.batch_size", ":7: expected 'key = value'"),
         ("model.hidden_sizes = 0", "model.hidden_sizes entries must be >= 1"),
+        ("model.embedding_dim = 0", "model.embedding_dim must be >= 1"),
+        ("train.max_epochs = 0", "train.max_epochs must be >= 1"),
     ])
     def test_run_config(self, tmp_path, capsys, line, message):
         cfg = write_tiny_config(tmp_path)
@@ -827,6 +854,12 @@ class TestConfigErrorsNameTheirFile:
                               "with base 10: 'lots'"),
         ("synth.informative = 0,7", "informative field index out of range"),
         ("synth.weight_scale = 200", "label base rate 0.0400 outside (0.05, 0.95)"),
+        ("synth.cardinality = 5,5", "synth.cardinality must have one entry or one per field"),
+        ("synth.rows = 9", "n_rows must be at least 10"),
+        ("synth.fields = 0", "need at least one field"),
+        ("synth.cardinality = 1", "every field cardinality must be >= 2"),
+        ("synth.informative = 0,0", "duplicate informative field index"),
+        ("synth.weight_scale = 0", "weight_scale must be positive"),
     ])
     def test_synth_spec(self, tmp_path, capsys, line, message):
         cfg = write_tiny_config(tmp_path)

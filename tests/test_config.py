@@ -201,6 +201,19 @@ class TestSchemaFile:
         with pytest.raises(ConfigError, match=re.escape(f"{message}{value!r}")):
             load_schema(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("schema.label = y\n", "schema needs at least one feature field"),
+        ("schema.label = y\nfield.a = categorical\nschema.min_count = 0\n",
+         "min_count must be >= 1"),
+        ("schema.label = y\nfield.a = categorical\nschema.buckets = 0\n",
+         "buckets must be >= 1"),
+    ], ids=["no-field", "min_count", "buckets"])
+    def test_schema_values_refused(self, tmp_path, text, message):
+        path = tmp_path / "schema.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            load_schema(path)
+
     @pytest.mark.parametrize("value", [";;", "", "tabs"])
     def test_delimiter_must_be_one_character(self, tmp_path, value):
         path = tmp_path / "schema.conf"
@@ -286,8 +299,9 @@ class TestSharedErrors:
     @pytest.mark.parametrize("kind, text, key, raw", [
         # schema integers and synth.rows are covered in TestSchemaFile and test_cli
         ("run", TINY + "train.patience = two\n", "train.patience", "two"),
+        ("run", TINY + "attn.use_max = maybe\n", "attn.use_max", "maybe"),
         ("synth", SYNTH + "synth.weight_scale = big\n", "synth.weight_scale", "big"),
-    ], ids=["run", "synth"])
+    ], ids=["run", "run-bool", "synth"])
     def test_bad_value_names_key_and_value(self, tmp_path, kind, text, key, raw):
         path, load = self.load(tmp_path, kind, text)
         with pytest.raises(ConfigError) as exc:

@@ -111,6 +111,13 @@ class TestBuildVocab:
         assert encode_file(path, schema, with_inf).indices[:, 0].tolist() == [1, 2, 3, 4, 0]
         assert with_inf.index_of(0, cell) == 0
 
+    def test_numeric_column_without_a_finite_cell_encodes_to_oov(self, csv_file):
+        schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
+        path = csv_file("x,y\nnan,0\ninf,1\n,0\nabc,1\n")
+        vocab = vocab_from(path, schema)
+        assert vocab.boundaries[0].size == 0 and vocab.sizes == [2]
+        assert encode_file(path, schema, vocab).indices[:, 0].tolist() == [0, 0, 0, 0]
+
 
 class TestEncode:
     def test_all_unseen_maps_to_zero(self, csv_file):

@@ -1,16 +1,20 @@
 import hashlib
+import itertools
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
+from mmbattn import gradcheck
 from mmbattn.attention import ABLATION_ROWS, MMBAttnConfig, param_count
 from mmbattn.autograd import Graph, stable_sigmoid
 from mmbattn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from mmbattn.data import CATEGORICAL, Batch, FieldSchema, SynthSpec, Vocabulary, synth_generate
 from mmbattn.errors import ConfigError
 from mmbattn.gradcheck import check_model, run_gradcheck
-from mmbattn.model import TowerConfig, build
+from mmbattn.model import TowerConfig, build, check_fits
 from mmbattn.training import TrainConfig, train
 
 ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
@@ -128,6 +132,23 @@ class TestBuild:
         with pytest.raises(ConfigError):
             TowerConfig((0,))
 
+    @pytest.mark.parametrize("spare, refused", [(0, False), (-1, True)])
+    def test_memory_bound_counts_the_training_state(self, monkeypatch, spare, refused):
+        # params, grads, Adam's m, v and two scratch vectors, and two
+        # snapshots: eight float64 copies of the parameters
+        args = (schema_of(3), vocab_of([4] * 3), 2, MMBAttnConfig(reduction_ratio=2),
+                TowerConfig((4,)))
+        memory = 8 * 8 * build(*args, seed=1).params.size + spare
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                            "SC_PHYS_PAGES": memory}.__getitem__)
+        if not refused:
+            check_fits(*args)
+            return
+        with pytest.raises(ConfigError, match=re.escape(
+                f"model.hidden_sizes: training the model needs at least {memory + 1:,} "
+                f"bytes, more than the {memory:,} bytes of physical memory")):
+            check_fits(*args)
+
     def test_module_maps_fd_to_fd(self):
         # plug-and-play: tower input width is F*d with or without attention
         for attn in (ATTN_OFF, MMBAttnConfig(reduction_ratio=2)):
@@ -236,10 +257,25 @@ class TestEndToEndGradcheck:
         batch = batch_of(rng.integers(0, 4, size=(4, 3)),
                          rng.integers(0, 2, size=4))
         worst = run_gradcheck(schema, vocab, batch, 2, TowerConfig((4,)),
-                              reduction_ratio=2, seed=19)
+                              reduction_ratio=2, seeds=(19,))
         assert max(worst.values()) < 1e-4
         assert set(worst) == {
             "embed.f0", "embed.f1", "embed.f2",
             "attn.max.w1", "attn.max.w2", "attn.mean.w1", "attn.mean.w2",
             "attn.bit.w1", "attn.bit.w2",
             "tower.0.weight", "tower.0.bias", "tower.1.weight", "tower.1.bias"}
+
+    def test_run_gradcheck_builds_every_toggle_triple_for_every_seed(self, monkeypatch):
+        built = []
+
+        def recording_build(schema, vocab, d, attn, tower, seed):
+            built.append((seed, (attn.use_max, attn.use_mean, attn.use_bitwise)))
+            return build(schema, vocab, d, attn, tower, seed)
+
+        monkeypatch.setattr(gradcheck, "build", recording_build)
+        rng = np.random.default_rng(20)
+        batch = batch_of(rng.integers(0, 3, size=(2, 2)), rng.integers(0, 2, size=2))
+        run_gradcheck(schema_of(2), vocab_of([3, 3]), batch, 1, TowerConfig((2,)),
+                      reduction_ratio=2, seeds=(4, 7))
+        triples = set(itertools.product((False, True), repeat=3))
+        assert sorted(built) == sorted((seed, t) for seed in (4, 7) for t in triples)
