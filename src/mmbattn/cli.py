@@ -10,7 +10,6 @@ import io
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,13 +159,13 @@ def _run_grid(cfg: RunConfig, args, runs) -> tuple[Path, list[dict[int, EvalRepo
     prepared once from ``cfg``; returns the output directory and each run's
     reports by seed.  An output path where a run directory cannot be made is
     refused before any data is read, and a model too big to build before the
-    first run trains, prefixed with its run's ``where`` unless that is None.
+    first run trains, prefixed with its run's ``where``.
     No run's overrides may affect data preparation."""
     out_dir = _out_dir(cfg, args)
     _check_out([out_dir / sub for sub, _, _ in runs], cfg.seeds)
     prepared = prepare_data(cfg)
     for _, run_cfg, where in runs:
-        with nullcontext() if where is None else naming(where):
+        with naming(where):
             check_fits(prepared.schema, prepared.vocab, run_cfg.embedding_dim,
                        run_cfg.attn, run_cfg.tower)
     return out_dir, [{seed: run_single(run_cfg, seed, out_dir / sub / f"seed_{seed}", prepared)
@@ -178,7 +177,7 @@ def _run_grid(cfg: RunConfig, args, runs) -> tuple[Path, list[dict[int, EvalRepo
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed, args.out)
-    out_dir, (reports,) = _run_grid(cfg, args, [("", cfg, None)])
+    out_dir, (reports,) = _run_grid(cfg, args, [("", cfg, args.config)])
     for seed, rep in reports.items():
         print(f"seed {seed}: test auc {rep.auc:.5f} logloss {rep.logloss:.5f}")
     s = _summarize(reports)
@@ -206,7 +205,8 @@ def cmd_evaluate(args) -> int:
     checkpoints = [ckpt.load_checkpoint(path) for path in paths]
     prepared = prepare_data(cfg)
     for seed, path, checkpoint in zip(cfg.seeds, paths, checkpoints):
-        model = _build_model(cfg, seed, prepared)
+        with naming(args.config):
+            model = _build_model(cfg, seed, prepared)
         with naming(path):
             ckpt.restore_model(model, checkpoint,
                                None if args.force else run_digest(cfg, seed, prepared))
@@ -222,7 +222,7 @@ def cmd_ablate(args) -> int:
         (slug, cfg.override({
             key: "true" if on else "false"
             for key, on in zip(("attn.use_max", "attn.use_mean", "attn.use_bitwise"),
-                               toggles)}), None)
+                               toggles)}), args.config)
         for _, slug, toggles in ABLATION_ROWS])
     rows = []
     base_auc = None
@@ -279,10 +279,11 @@ def cmd_sweep(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = load_run_config(args.config, args.override, args.seed)
     prepared = prepare_data(cfg)
-    if prepared.schema.n_fields > 4:
-        raise ConfigError("gradcheck needs a tiny model: at most 4 fields")
-    if cfg.embedding_dim > 3:
-        raise ConfigError("gradcheck needs a tiny model: embedding_dim at most 3")
+    with naming(args.config):
+        if prepared.schema.n_fields > 4:
+            raise ConfigError("gradcheck needs a tiny model: at most 4 fields")
+        if cfg.embedding_dim > 3:
+            raise ConfigError("gradcheck needs a tiny model: embedding_dim at most 3")
     worst = run_gradcheck(prepared.schema, prepared.vocab, prepared.train.take(slice(0, 8)),
                           cfg.embedding_dim, cfg.tower, cfg.attn.reduction_ratio, cfg.seeds)
     for name in sorted(worst):

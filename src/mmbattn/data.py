@@ -52,9 +52,9 @@ class FieldSchema:
                 raise ConfigError(f"field {name!r}: unknown kind {kind!r} "
                                   f"(expected categorical or numeric)")
         if self.min_count < 1:
-            raise ConfigError("min_count must be >= 1")
+            raise ConfigError("schema.min_count must be >= 1")
         if self.buckets < 1:
-            raise ConfigError("buckets must be >= 1")
+            raise ConfigError("schema.buckets must be >= 1")
 
     @property
     def n_fields(self) -> int:
@@ -70,7 +70,8 @@ class Vocabulary:
 
     Categorical fields map raw strings.  Numeric fields map through the
     quantile bucket boundaries recorded at build time; their ``maps``
-    entry stays empty.
+    entry stays empty.  A numeric field with no finite train cell records
+    None: an empty categorical field, size 1, every cell OOV.
     """
 
     def __init__(self, maps: Sequence[dict[str, int]],
@@ -241,13 +242,9 @@ def build_vocab_rows(header: list[str], rows: Rows,
         else:
             values, ok = _parse_floats(col)
             vals = values[ok]
-            if vals.size:
-                qs = np.arange(1, schema.buckets) * (1.0 / schema.buckets)
-                edges = np.unique(np.quantile(vals, qs))
-            else:
-                edges = np.empty(0, dtype=np.float64)
+            qs = np.arange(1, schema.buckets) * (1.0 / schema.buckets)
             maps.append({})
-            bounds.append(edges)
+            bounds.append(np.unique(np.quantile(vals, qs)) if vals.size else None)
     return Vocabulary(maps, bounds)
 
 

@@ -74,12 +74,6 @@ class Model:
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
-    def snapshot(self) -> np.ndarray:
-        return self.params.copy()
-
-    def restore(self, snap: np.ndarray) -> None:
-        self.params[...] = snap
-
     def forward_logits(self, g: Graph, batch: Batch,
                        collect: dict | None = None) -> Tensor:
         e = lookup(g, self.embedding, batch)
@@ -123,10 +117,9 @@ def _initial_arrays(schema: FieldSchema, vocab: Vocabulary, d: int,
 
 # Float64 vectors as long as ``Model.params`` that a training run holds at
 # once: the parameters, their gradients, Adam's two moments and two scratch
-# vectors, the best epoch's snapshot, and the new snapshot ``train`` takes
-# before it drops the old one.  ``build`` peaks lower: its drawn arrays, the
-# concatenated parameters and the gradients.
-TRAINING_COPIES = 8
+# vectors, and the best epoch's parameters.  ``build`` peaks lower: its drawn
+# arrays, the concatenated parameters and the gradients.
+TRAINING_COPIES = 7
 
 
 def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,

@@ -212,7 +212,7 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
     shuffle_seed = derive_seed(run_seed, "shuffle")
     params, grads = {"params": model.params}, {"params": model.grads}
     state = init_adam_state(params)
-    best_auc, bad_epochs, best = -np.inf, 0, model.snapshot()
+    best_auc, bad_epochs, best = -np.inf, 0, model.params.copy()
     step = 0
     epoch = 0
     # The step's largest GEMM: a batch through the widest dense weight.
@@ -245,12 +245,13 @@ def train(model: Model, train_data: Batch, valid_data: Batch, test_data: Batch,
               "logloss": report.logloss, "train_loss": float(np.mean(losses)),
               "seconds": round(time.perf_counter() - tick, 3)})
         if report.auc > best_auc:
-            best_auc, bad_epochs, best = report.auc, 0, model.snapshot()
+            best_auc, bad_epochs = report.auc, 0
+            np.copyto(best, model.params)
         else:
             bad_epochs += 1
             if bad_epochs >= config.patience:
                 break
-    model.restore(best)
+    np.copyto(model.params, best)
     tick = time.perf_counter()
     report = score(test_data, "test")
     emit({"epoch": epoch, "split": "test", "auc": report.auc,

@@ -125,8 +125,9 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(f"error: {key}: training the model needs at least "
-                            r"[\d,]+ bytes, more than the [\d,]+ bytes of physical memory\n",
+        assert re.fullmatch(f"error: {re.escape(str(cfg))}: {key}: training the model "
+                            r"needs at least [\d,]+ bytes, more than the [\d,]+ bytes "
+                            r"of physical memory\n",
                             err), err
         assert not out.exists()
 
@@ -226,6 +227,18 @@ class TestEvaluateCommand:
                        "--checkpoint", str(ckpt)])
         assert rc == 1
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_model_too_big_for_memory_refused_naming_the_config(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg), "--out", str(out), "--force",
+                         "--override", "model.embedding_dim=999999999994"]) == 1
+        assert re.fullmatch(f"error: {re.escape(str(cfg))}: model.embedding_dim: "
+                            r"training the model needs at least [\d,]+ bytes, more than "
+                            r"the [\d,]+ bytes of physical memory\n",
+                            capsys.readouterr().err)
 
     def test_force_loads_despite_digest_mismatch(self, tmp_path, capsys):
         cfg = write_tiny_config(tmp_path, **{"run.seeds": "1"})
@@ -371,6 +384,16 @@ class TestAblateCommand:
             manifests.append([(n, s) for n, s, _ in ckpt.entries
                               if not n.startswith("attn.")])
         assert manifests[0] == manifests[1]
+
+    def test_model_too_big_for_memory_refused_naming_the_config(self, tmp_path, capsys):
+        cfg = write_tiny_config(tmp_path, **{"model.embedding_dim": "999999999994"})
+        out = tmp_path / "out"
+        assert cli.main(["ablate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert re.fullmatch(f"error: {re.escape(str(cfg))}: model.embedding_dim: "
+                            r"training the model needs at least [\d,]+ bytes, more than "
+                            r"the [\d,]+ bytes of physical memory\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestInspectCommand:
@@ -552,8 +575,8 @@ class TestGradcheckCommand:
         synth = tmp_path / "synth.conf"
         synth.write_text(synth.read_text().replace("synth.fields = 3", "synth.fields = 5"))
         assert cli.main(["gradcheck", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == ("error: gradcheck needs a tiny model: "
-                                           "at most 4 fields\n")
+        assert capsys.readouterr().err == (f"error: {cfg}: gradcheck needs a tiny "
+                                           "model: at most 4 fields\n")
 
 
 class TestSynthCommand:

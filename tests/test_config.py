@@ -204,9 +204,9 @@ class TestSchemaFile:
     @pytest.mark.parametrize("text, message", [
         ("schema.label = y\n", "schema needs at least one feature field"),
         ("schema.label = y\nfield.a = categorical\nschema.min_count = 0\n",
-         "min_count must be >= 1"),
+         "schema.min_count must be >= 1"),
         ("schema.label = y\nfield.a = categorical\nschema.buckets = 0\n",
-         "buckets must be >= 1"),
+         "schema.buckets must be >= 1"),
     ], ids=["no-field", "min_count", "buckets"])
     def test_schema_values_refused(self, tmp_path, text, message):
         path = tmp_path / "schema.conf"

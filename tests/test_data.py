@@ -115,8 +115,12 @@ class TestBuildVocab:
         schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
         path = csv_file("x,y\nnan,0\ninf,1\n,0\nabc,1\n")
         vocab = vocab_from(path, schema)
-        assert vocab.boundaries[0].size == 0 and vocab.sizes == [2]
+        assert vocab.boundaries[0] is None and vocab.sizes == [1]
         assert encode_file(path, schema, vocab).indices[:, 0].tolist() == [0, 0, 0, 0]
+        # the field is empty: a finite valid cell has no trained row to go to
+        valid = encode_file(csv_file("x,y\n3.5,0\n-7,1\n"), schema, vocab)
+        assert valid.indices[:, 0].tolist() == [0, 0]
+        assert [vocab.index_of(0, cell) for cell in ("3.5", "-7")] == [0, 0]
 
 
 class TestEncode:

@@ -14,7 +14,7 @@ from mmbattn.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from mmbattn.data import CATEGORICAL, Batch, FieldSchema, SynthSpec, Vocabulary, synth_generate
 from mmbattn.errors import ConfigError
 from mmbattn.gradcheck import check_model, run_gradcheck
-from mmbattn.model import TowerConfig, build, check_fits
+from mmbattn.model import TRAINING_COPIES, TowerConfig, build, check_fits
 from mmbattn.training import TrainConfig, train
 
 ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
@@ -134,11 +134,12 @@ class TestBuild:
 
     @pytest.mark.parametrize("spare, refused", [(0, False), (-1, True)])
     def test_memory_bound_counts_the_training_state(self, monkeypatch, spare, refused):
-        # params, grads, Adam's m, v and two scratch vectors, and two
-        # snapshots: eight float64 copies of the parameters
+        # params, grads, Adam's m, v and two scratch vectors, and the best
+        # epoch: seven float64 copies of the parameters
         args = (schema_of(3), vocab_of([4] * 3), 2, MMBAttnConfig(reduction_ratio=2),
                 TowerConfig((4,)))
-        memory = 8 * 8 * build(*args, seed=1).params.size + spare
+        assert TRAINING_COPIES == 7
+        memory = TRAINING_COPIES * 8 * build(*args, seed=1).params.size + spare
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
                                             "SC_PHYS_PAGES": memory}.__getitem__)
         if not refused:
@@ -181,11 +182,11 @@ class TestParameterStore:
         model = build(spec.schema(), spec.vocabulary(), 2,
                       MMBAttnConfig(reduction_ratio=2), TowerConfig((4,)), seed=3)
         assert_layout(model)
-        before = model.snapshot()
+        before = model.params.copy()
         train(model, tr, va, te, TrainConfig(batch_size=64, max_epochs=1), run_seed=1)
         assert not np.array_equal(before, model.params)
         assert_layout(model)
-        model.restore(before)
+        np.copyto(model.params, before)
         assert np.array_equal(model.params, before)
         assert_layout(model)
         path = tmp_path / "m.mmbc"

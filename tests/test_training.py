@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from mmbattn import training
 from mmbattn.attention import MMBAttnConfig
 from mmbattn.autograd import Graph, Tensor, stable_sigmoid
-from mmbattn.data import SynthSpec, synth_generate
+from mmbattn.data import CATEGORICAL, Batch, FieldSchema, SynthSpec, Vocabulary, synth_generate
 from mmbattn.errors import ConfigError, ContractError, DataError, TrainingError
-from mmbattn.model import TowerConfig, build
+from mmbattn.model import TRAINING_COPIES, TowerConfig, build
 from mmbattn.training import (EvalReport, TrainConfig, adam_step, auc, bce_loss,
                               bce_with_logits, evaluate, init_adam_state, train)
 
@@ -354,6 +355,34 @@ class TestTrainLoop:
             aucs.append(train(model, tr, va, te, cfg, run_seed=seed).auc)
         mean, std = float(np.mean(aucs)), float(np.std(aucs))
         assert mean == np.mean(aucs) and std == np.std(aucs)
+
+
+class TestTrainingMemory:
+    def test_peak_stays_within_the_counted_copies(self):
+        # 2 fields x 100,000 ids at d 8: the parameter vector (12.8 MB)
+        # dwarfs the activations of a 1,000-row batch through a tower of 8
+        ids = 100_000
+        schema = FieldSchema(fields=(("a", CATEGORICAL), ("b", CATEGORICAL)),
+                             label_column="y")
+        vocab = Vocabulary([{f"v{k}": k + 1 for k in range(ids - 1)}] * 2, [None] * 2)
+        model = build(schema, vocab, 8, ATTN_OFF, TowerConfig((8,)), seed=1)
+        rng = np.random.default_rng(0)
+
+        def split(n):
+            idx = rng.integers(0, ids, size=(n, 2), dtype=np.uint32)
+            return Batch(idx, (idx[:, 0] % 2).astype(np.float64))
+
+        tr, va, te = split(2000), split(500), split(500)
+        cfg = TrainConfig(batch_size=1000, max_epochs=4, patience=4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(model, tr, va, te, cfg, run_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the parameters and their gradients exist before train starts
+        assert peak - base <= (TRAINING_COPIES - 2 + 0.5) * model.params.nbytes
 
 
 class TestEvaluate:
