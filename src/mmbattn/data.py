@@ -298,17 +298,18 @@ def batches(data: Batch, batch_size: int, shuffle_seed: int | None = None,
     """Deterministic mini-batches; the last partial batch is kept.
 
     The shuffle is keyed by (shuffle_seed, epoch); with ``shuffle_seed``
-    None the dataset order is preserved (evaluation).
+    None the dataset order is preserved (evaluation) and each batch holds
+    views of ``data``'s arrays, not copies.
     """
     if batch_size < 1:
         raise ContractError("batch_size must be >= 1")
-    if shuffle_seed is None:
-        order = np.arange(data.n)
-    else:
+    order = None
+    if shuffle_seed is not None:
         rng = np.random.default_rng(derive_seed(shuffle_seed, f"shuffle-epoch:{epoch}"))
         order = rng.permutation(data.n)
     for start in range(0, data.n, batch_size):
-        yield data.take(order[start:start + batch_size])
+        rows = slice(start, start + batch_size)
+        yield data.take(rows if order is None else order[rows])
 
 
 # -- planted-importance synthetic data ------------------------------------

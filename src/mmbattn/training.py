@@ -16,7 +16,7 @@ from .heap import keep_freed_memory
 from .model import Model
 from .seeding import derive_seed
 
-EVAL_BATCH_SIZE = 8192
+EVAL_BATCH_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def bce_loss(y_hat, y) -> float:
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     check_labels(y)
-    return float(-np.mean(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))
+    return float(-np.mean(np.log(np.where(y == 1.0, y_hat, 1.0 - y_hat))))
 
 
 def _logits_bce_value(z: np.ndarray, y: np.ndarray) -> float:

@@ -334,6 +334,13 @@ class TestBatches:
         sizes = [b.n for b in batches(self.make(10), 4)]
         assert sizes == [4, 4, 2]
 
+    def test_in_order_batches_are_views_in_dataset_order(self):
+        data = self.make(10)
+        parts = list(batches(data, 4))
+        assert np.concatenate([b.indices[:, 0] for b in parts]).tolist() == list(range(10))
+        assert all(np.shares_memory(b.indices, data.indices)
+                   and np.shares_memory(b.labels, data.labels) for b in parts)
+
     def test_same_seed_same_sequence(self):
         a = [b.indices.copy() for b in batches(self.make(20), 6, shuffle_seed=5, epoch=1)]
         b = [b.indices.copy() for b in batches(self.make(20), 6, shuffle_seed=5, epoch=1)]

@@ -23,7 +23,8 @@ def fresh_setter():
 @pytest.mark.skipif(not has_mallopt, reason="needs glibc's mallopt")
 def test_repeated_evaluation_faults_in_no_new_pages():
     # planted-shaped: 8 fields x 8 ids, d 8, full attention, a 64x64 tower;
-    # each 8,192-row batch makes temporaries of 0.5 to 4 MiB
+    # each 2,048-row batch makes temporaries of 128 KiB to 1 MiB, at or
+    # above glibc's default 128 KiB mmap threshold
     card, n = (8,) * 8, 8192
     spec = SynthSpec(n_rows=10, cardinalities=card, informative=(0,))
     model = build(spec.schema(), spec.vocabulary(), 8, MMBAttnConfig(),
@@ -35,7 +36,7 @@ def test_repeated_evaluation_faults_in_no_new_pages():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
         training.evaluate(model, data)
-    # without the setting each call faults in about 6,000 fresh pages
+    # without the setting each call faults in about 7,000 fresh pages
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 

@@ -59,6 +59,11 @@ class TestBceLoss:
         oracle = -np.mean(y * np.log(y_hat) + (1 - y) * np.log(1 - y_hat))
         assert abs(bce_loss(y_hat, y) - oracle) < 1e-12
 
+    def test_exact_zero_one_probabilities_cost_nothing(self):
+        # 0 * log(0) would be nan and warn; only the true class's log is taken
+        assert bce_loss([1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert bce_loss([1.0, 0.5], [1.0, 0.0]) == pytest.approx(math.log(2) / 2, abs=1e-15)
+
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ContractError, match="^labels must be 0 or 1$"):
             bce_loss([0.5], [0.7])
@@ -397,6 +402,26 @@ class TestEvaluate:
         many = evaluate(model, te, batch_size=batch_size, threads=4)
         assert one.scores.tobytes() == many.scores.tobytes()
         assert one.auc == many.auc and one.logloss == many.logloss
+
+    def test_planted_evaluation_peak_stays_under_8_mib(self):
+        # planted-shaped: 8 fields x 8 ids, d 8, full attention, a 64x64
+        # tower; the first call does the one-off set-up, so the traced
+        # second call holds only evaluation's own arrays
+        card, n = (8,) * 8, 16384
+        spec = SynthSpec(n_rows=10, cardinalities=card, informative=(0,))
+        model = build(spec.schema(), spec.vocabulary(), 8, MMBAttnConfig(),
+                      TowerConfig((64, 64)), seed=1)
+        rng = np.random.default_rng(0)
+        data = Batch(rng.integers(0, 8, size=(n, len(card))).astype(np.uint32),
+                     (rng.random(n) < 0.5).astype(np.float64))
+        evaluate(model, data)
+        tracemalloc.start()
+        try:
+            evaluate(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_nan_parameter_raises_naming_row_and_group(self):
         spec, (_, _, te, _) = tiny_planted()
