@@ -82,7 +82,7 @@ def pool(g: Graph, e: Tensor, kind: str) -> Tensor:
 
 def branch_attention(g: Graph, s: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """sigmoid(relu(s · W1) · W2): one weight in (0, 1) per column of ``s``."""
-    return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1)), w2))
+    return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1), inplace=True), w2))
 
 
 # The bit-wise branch, one weight per flattened embedding position: the same

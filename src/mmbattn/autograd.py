@@ -18,6 +18,14 @@ reads.  Elementwise rules overwrite the upstream gradient, which no one
 reads once its node has run.  So after ``backward``
 a non-leaf tensor's ``.grad`` is scratch, while leaf and parameter
 gradients are exact; and a graph runs ``backward`` at most once.
+
+Buffer ownership: ``add`` and ``relu`` with ``inplace=True`` write into
+their first operand's buffer and return a new tensor over it.  The write
+is refused unless that operand is *free*: a fresh ``matmul`` or ``add``
+result that no recorded backward reads and no view aliases.  ``matmul``,
+``mul``, ``reshape`` and ``record_op`` (through its ``inputs``) clear the
+flag on what they read; an in-place write consumes it.  The caller still
+promises that nothing reads the operand after the write.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 class Tensor:
     """A shaped float64 buffer and the gradient ``backward`` accumulated into it."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "grad", "free")
     # Read-only: a recording graph differentiates every tensor it touches.
     # Kept only because the benchmark's tracer reads it.
     requires_grad = True
@@ -48,6 +56,7 @@ class Tensor:
             arr = np.ascontiguousarray(arr)  # keeps ndim: 0-d arrays are contiguous
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
+        self.free = False  # may an in-place op overwrite ``data``? (module docstring)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -129,11 +138,26 @@ class Graph:
 
     # -- plumbing -----------------------------------------------------
 
-    def _result(self, data, backward: Callable[[np.ndarray], None]) -> Tensor:
+    def _result(self, data, backward: Callable[[np.ndarray], None],
+                free: bool = False) -> Tensor:
         out = Tensor(data)
+        out.free = free
         if self.record:
             self._nodes.append((out, backward))
         return out
+
+    @staticmethod
+    def _claim(a: Tensor, inplace: bool, op: str) -> np.ndarray | None:
+        """The buffer an op writes its result into: ``a``'s if ``inplace``,
+        else None (a new array)."""
+        if not inplace:
+            return None
+        if not a.free:
+            raise ContractError(f"{op} cannot write in place into a tensor of shape "
+                                f"{a.shape}: it is not a fresh matmul or add result, "
+                                f"or a backward or a view still reads it")
+        a.free = False
+        return a.data
 
     def record_op(self, data, inputs: Sequence[Tensor],
                   backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -141,8 +165,11 @@ class Graph:
 
         ``backward`` receives the upstream gradient of the output and calls
         :func:`accumulate_grad` on each of ``inputs``.  ``inputs`` names
-        what the backward writes; only the benchmark's tracer reads it.
+        what the backward writes and may read, so the graph clears their
+        ``free`` flag; the benchmark's tracer reads it too.
         """
+        for t in inputs:
+            t.free = False
         return self._result(data, backward)
 
     def backward(self, loss: Tensor) -> None:
@@ -171,13 +198,15 @@ class Graph:
         if a.shape[1] != b.shape[0]:
             raise ContractError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
+        a.free = b.free = False  # the backward reads both
+
         def backward(g: np.ndarray) -> None:
             accumulate_grad(a, g @ b.data.T)
             accumulate_grad(b, a.data.T @ g)
 
-        return self._result(a.data @ b.data, backward)
+        return self._result(a.data @ b.data, backward, free=True)
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
+    def add(self, a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
         _check_broadcast(a.shape, b.shape)
 
         def backward(g: np.ndarray) -> None:
@@ -186,10 +215,12 @@ class Graph:
             accumulate_grad(b, gb.copy() if gb is g else gb)
             accumulate_grad(a, g)
 
-        return self._result(a.data + b.data, backward)
+        out = np.add(a.data, b.data, out=self._claim(a, inplace, "add"))
+        return self._result(out, backward, free=True)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast(a.shape, b.shape)
+        a.free = b.free = False  # the backward reads both
 
         def backward(g: np.ndarray) -> None:
             accumulate_grad(b, _reduce_to(g * a.data, b.shape))
@@ -220,18 +251,21 @@ class Graph:
         idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
         def backward(g: np.ndarray) -> None:
-            full = np.zeros_like(a.data)
+            full = np.zeros(a.shape)
             np.put_along_axis(full, idx, np.expand_dims(g, axis), axis)
             accumulate_grad(a, full)
 
         return self._result(np.take_along_axis(a.data, idx, axis).squeeze(axis), backward)
 
-    def relu(self, a: Tensor) -> Tensor:
+    def relu(self, a: Tensor, inplace: bool = False) -> Tensor:
+        out_data = np.maximum(a.data, 0.0, out=self._claim(a, inplace, "relu"))
+
         def backward(g: np.ndarray) -> None:
-            np.multiply(g, a.data > 0, out=g)  # relu'(0) = 0
+            # out > 0 exactly where a > 0, NaN included; relu'(0) = 0
+            np.multiply(g, out_data > 0, out=g)
             accumulate_grad(a, g)
 
-        return self._result(np.maximum(a.data, 0.0), backward)
+        return self._result(out_data, backward)
 
     def sigmoid(self, a: Tensor) -> Tensor:
         out_data = stable_sigmoid(a.data)
@@ -247,6 +281,7 @@ class Graph:
         new_shape = tuple(int(s) for s in shape)
         if int(np.prod(new_shape, dtype=np.int64)) != a.size:
             raise ContractError(f"cannot reshape {a.shape} to {new_shape}")
+        a.free = False  # the result is a view of a's buffer
 
         def backward(g: np.ndarray) -> None:
             accumulate_grad(a, g.reshape(a.shape))

@@ -78,12 +78,10 @@ class Model:
                        collect: dict | None = None) -> Tensor:
         e = lookup(g, self.embedding, batch)
         x = apply_attention(g, e, self.attn_params, self.attn, collect)
-        last = len(self.tower) - 1
-        for i, (w, b) in enumerate(self.tower):
-            x = g.add(g.matmul(x, w), b)
-            if i < last:
-                x = g.relu(x)
-        return g.reshape(x, (batch.n,))
+        *hidden, (w_out, b_out) = self.tower
+        for w, b in hidden:  # bias and relu reuse the product's buffer
+            x = g.relu(g.add(g.matmul(x, w), b, inplace=True), inplace=True)
+        return g.reshape(g.add(g.matmul(x, w_out), b_out), (batch.n,))
 
     def field_weights(self, batch: Batch) -> np.ndarray | None:
         """Per-field combined attention weights W^MM, or None if no pooled branch."""

@@ -509,6 +509,99 @@ class TestOwnership:
             Tensor([1.0]).requires_grad = False
 
 
+def fresh_product(g):
+    """A (3, 4) matmul result: free until something reads it."""
+    rng = np.random.default_rng(5)
+    return g.matmul(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(2, 4))))
+
+
+def used_product(use):
+    def make(g):
+        t = fresh_product(g)
+        use(g, t)
+        return t
+    return make
+
+
+# Each makes a (3, 4) tensor that an in-place add or relu must not overwrite.
+NOT_FREE = {
+    "leaf": lambda g: Tensor(np.ones((3, 4))),
+    "parameter": lambda g: Tensor(np.zeros(20)[4:16].reshape(3, 4)),
+    "matmul_left_operand": used_product(lambda g, t: g.matmul(t, Tensor(np.ones((4, 2))))),
+    "matmul_right_operand": used_product(lambda g, t: g.matmul(Tensor(np.ones((2, 3))), t)),
+    "mul_operand": used_product(lambda g, t: g.mul(t, Tensor(np.ones(4)))),
+    "mul_second_operand": used_product(lambda g, t: g.mul(Tensor(np.ones((3, 4))), t)),
+    "reshape_source": used_product(lambda g, t: g.reshape(t, (4, 3))),
+    "relu_output": lambda g: g.relu(fresh_product(g)),
+    "relu_output_in_place": lambda g: g.relu(fresh_product(g), inplace=True),
+    "sigmoid_output": lambda g: g.sigmoid(fresh_product(g)),
+    "record_op_input": used_product(
+        lambda g, t: g.record_op(t.data.sum(), (t,), lambda grad: None)),
+    "written_by_add": used_product(lambda g, t: g.add(t, Tensor(np.ones(4)), inplace=True)),
+    "written_by_relu": used_product(lambda g, t: g.relu(t, inplace=True)),
+}
+
+
+class TestInPlace:
+    """``inplace=True`` writes into the first operand's buffer only when it is free."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("op", ["add", "relu"])
+    @pytest.mark.parametrize("case", NOT_FREE)
+    def test_refuses_a_tensor_that_is_not_free(self, case, op, record):
+        g = Graph(record=record)
+        t = NOT_FREE[case](g)
+        before = t.data.copy()
+        with pytest.raises(ContractError, match=f"{op} cannot write in place"):
+            if op == "add":
+                g.add(t, Tensor(np.ones(4)), inplace=True)
+            else:
+                g.relu(t, inplace=True)
+        assert t.data.tobytes() == before.tobytes()
+
+    def test_add_and_relu_reuse_the_product_buffer(self):
+        g = Graph()
+        h = fresh_product(g)
+        s = g.add(h, Tensor(np.ones(4)), inplace=True)
+        r = g.relu(s, inplace=True)
+        assert r.data is s.data is h.data
+        assert r is not s and len(g._nodes) == 3  # one node per op
+
+    def test_relu_in_place_masks_a_nan_like_its_input(self):
+        g = Graph()
+        h = g.matmul(Tensor([[1.0]]), Tensor([[np.nan, -1.0, 0.0, 2.0]]))
+        g.backward(g.reduce_mean(g.reduce_mean(g.relu(h, inplace=True), 1), 0))
+        assert h.grad.tolist() == [[0.0, 0.0, 0.0, 0.25]]
+
+    def test_ops_whose_backward_reads_no_input_leave_it_free(self):
+        # so a later in-place write cannot corrupt their gradient
+        g = Graph()
+        h = fresh_product(g)
+        g.reduce_max(h, 1)
+        g.reduce_mean(h, 0)
+        g.sigmoid(h)
+        g.relu(h)
+        g.add(h, Tensor(np.ones(4)))
+        g.add(h, Tensor(np.ones(4)), inplace=True)
+
+    def test_in_place_layer_matches_out_of_place_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(6, 5)))
+        w = Tensor(rng.normal(size=(5, 4)))
+        b = Tensor(rng.normal(size=4))
+
+        def run(inplace):
+            for t in (x, w, b):
+                t.grad = None
+            g = Graph()
+            h = g.relu(g.add(g.matmul(x, w), b, inplace=inplace), inplace=inplace)
+            out = g.mul(h, h)
+            g.backward(g.reduce_mean(g.reduce_mean(out, 1), 0))
+            return [t.tobytes() for t in (h.data, x.grad, w.grad, b.grad)]
+
+        assert run(True) == run(False)
+
+
 class TestSurface:
     def test_every_public_graph_method_has_a_production_caller(self):
         # the engine carries only what the package uses; an op that only

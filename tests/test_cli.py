@@ -538,7 +538,7 @@ class TestGradcheckCommand:
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
         true_relu = Graph.relu
 
-        def corrupt_relu(self, a):
+        def corrupt_relu(self, a, inplace=False):  # always out of place
             mask = a.data > 0
 
             def backward(g):

@@ -77,6 +77,26 @@ class TestForward:
         want = 1.0 / (1.0 + math.exp(-logit))
         assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_400_wide_tower_equals_out_of_place_numpy_bit_for_bit(self, record):
+        # attention off, so the tower's input is the gathered embedding rows
+        sizes, n = [50] * 10, 256
+        model = build(schema_of(10), vocab_of(sizes), 10, ATTN_OFF,
+                      TowerConfig((400, 400, 400)), seed=4)
+        rng = np.random.default_rng(1)
+        for i in range(4):  # biases start at zero; give them something to add
+            model.registry[f"tower.{i}.bias"].data[...] = rng.normal(size=400 if i < 3 else 1)
+        idx = rng.integers(0, 50, (n, 10))
+        x = np.concatenate([model.registry[f"embed.f{f}"].data[idx[:, f]]
+                            for f in range(10)], axis=1)
+        for i in range(4):
+            w, b = (model.registry[f"tower.{i}.{part}"].data for part in ("weight", "bias"))
+            x = x @ w + b
+            if i < 3:
+                x = np.maximum(x, 0.0)
+        got = model.forward_logits(Graph(record=record), batch_of(idx)).data
+        assert got.tobytes() == x.reshape(n).tobytes()
+
     def test_probabilities_in_open_interval(self):
         model = build(schema_of(2), vocab_of([5, 5]), 3,
                       MMBAttnConfig(), TowerConfig((8,)), seed=3)

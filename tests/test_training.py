@@ -389,6 +389,38 @@ class TestTrainingMemory:
         # the parameters and their gradients exist before train starts
         assert peak - base <= (TRAINING_COPIES - 2 + 0.5) * model.params.nbytes
 
+    def test_paper_shaped_step_peak_stays_under_9_activations(self):
+        # 10 fields x 50 ids, d 10, full attention, a 400x400x400 tower and
+        # 1,024 rows: one 1024x400 float64 activation is 1024 * 400 * 8 B =
+        # 3.125 MiB.  The tape keeps one such buffer per hidden layer, as the
+        # bias and relu write into the product's.  Three buffers per layer
+        # (product, + bias, relu) are nine, 28.1 MiB, on the tape alone: the
+        # step then peaked at 37.7 MiB (12 activations), in place at 22.6 MiB
+        # (7.2).  The first step does the one-off set-up, so the traced
+        # second step holds only its own arrays.
+        card, n = (50,) * 10, 1024
+        spec = SynthSpec(n_rows=10, cardinalities=card, informative=(0,))
+        model = build(spec.schema(), spec.vocabulary(), 10, MMBAttnConfig(),
+                      TowerConfig((400, 400, 400)), seed=1)
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.integers(0, 50, size=(n, len(card))).astype(np.uint32),
+                      (rng.random(n) < 0.5).astype(np.float64))
+
+        def step():
+            g = Graph()
+            loss = bce_with_logits(g, model.forward_logits(g, batch), batch.labels)
+            model.zero_grad()
+            g.backward(loss)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * n * 400 * 8
+
 
 class TestEvaluate:
     # te has 600 rows: 100 divides it; 128 does not; 250 and 8192 make
