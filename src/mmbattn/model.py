@@ -114,10 +114,10 @@ def _initial_arrays(schema: FieldSchema, vocab: Vocabulary, d: int,
 
 
 # Float64 vectors as long as ``Model.params`` that a training run holds at
-# once: the parameters, their gradients, Adam's two moments and two scratch
-# vectors, and the best epoch's parameters.  ``build`` peaks lower: its drawn
-# arrays, the concatenated parameters and the gradients.
-TRAINING_COPIES = 7
+# once: the parameters, their gradients, Adam's two moments and the best
+# epoch's parameters (Adam's scratch is one block long).  ``build`` peaks
+# lower: its drawn arrays, the concatenated parameters and the gradients.
+TRAINING_COPIES = 5
 
 
 def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,

@@ -101,44 +101,54 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
+# Values per ``adam_step`` block: the two scratch vectors are this long, so
+# a step makes no full-length temporary and each pass reads cached blocks.
+ADAM_BLOCK = 16384
+
+
 def init_adam_state(params: dict[str, np.ndarray]
                     ) -> dict[str, tuple[np.ndarray, ...]]:
-    """Per named array: the moments ``m`` and ``v``, then two scratch
-    vectors of its size, so a step makes no full-length temporary."""
-    return {name: tuple(np.zeros_like(p) for _ in range(4))
+    """Per named array: the moments ``m`` and ``v`` of its size, then two
+    scratch vectors of ``min(size, ADAM_BLOCK)`` values."""
+    return {name: (np.zeros_like(p), np.zeros_like(p),
+                   *(np.zeros(min(p.size, ADAM_BLOCK)) for _ in range(2)))
             for name, p in params.items()}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: dict[str, tuple[np.ndarray, ...]],
               config: TrainConfig, t: int) -> None:
-    """One bias-corrected Adam update per named array, in place.
+    """One bias-corrected Adam update per named (C-contiguous) array, in place.
 
-    ``train`` passes ``Model.params`` as one entry: one vectorised update.
-    Each ufunc writes into the state's scratch, in the order of
+    ``train`` passes ``Model.params`` as one entry.  Each array is updated
+    one ``ADAM_BLOCK``-value block at a time; within a block each ufunc
+    writes into the state's scratch, in the order of
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``, so the bits are that
-    expression's."""
+    expression's, whatever the block size."""
     if t < 1:
         raise ContractError("Adam step index t must be >= 1")
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m, v, a, b = state[name]
-        m *= BETA1
-        np.multiply(g, 1.0 - BETA1, out=a)
-        m += a
-        v *= BETA2
-        np.multiply(g, g, out=a)
-        a *= 1.0 - BETA2
-        v += a
-        np.divide(m, c1, out=a)
-        a *= config.learning_rate
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += EPS
-        a /= b
-        p -= a
+    for name, whole in params.items():
+        m_whole, v_whole, a_block, b_block = state[name]
+        flat = [x.reshape(-1) for x in (whole, grads[name], m_whole, v_whole)]
+        for lo in range(0, whole.size, ADAM_BLOCK):
+            p, g, m, v = (x[lo:lo + ADAM_BLOCK] for x in flat)
+            a, b = a_block[:p.size], b_block[:p.size]
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=a)
+            m += a
+            v *= BETA2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - BETA2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= config.learning_rate
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            p -= a
 
 
 # -- evaluation ----------------------------------------------------------

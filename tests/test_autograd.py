@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmbattn.attention import MMBAttnConfig
-from mmbattn.autograd import Graph, Tensor, stable_sigmoid
+from mmbattn.autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
 from mmbattn.data import SynthSpec, synth_generate
 from mmbattn.errors import ContractError
 from mmbattn.model import TowerConfig, build
@@ -230,8 +230,11 @@ class TestActivations:
             if value is not None:
                 x.ravel()[::7] = value
             got, want = stable_sigmoid(x), masked(x)
+            in_place = x.copy()
+            assert stable_sigmoid(in_place, out=in_place) is in_place
             assert got.shape == want.shape == shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), value
+            for result in (got, in_place):
+                assert np.array_equal(result.view(np.uint64), want.view(np.uint64)), value
 
     def test_sigmoid_backward(self):
         rng = np.random.default_rng(5)
@@ -321,6 +324,23 @@ class TestTapeRelease:
         assert g._nodes == []
         assert [ref() for ref in products] == [None] * len(products)
         assert logits.grad is not None  # a tensor the caller holds keeps its gradient
+
+    def test_a_node_lets_go_of_its_output_before_its_backward_runs(self):
+        x = Tensor(np.ones(3))
+        seen = []
+
+        def backward(grad):
+            seen.append(ref())  # None once the tape no longer holds the output
+            accumulate_grad(x, grad)
+
+        g = Graph()
+        out = g.record_op(x.data * 2.0, (x,), backward)
+        ref = weakref.ref(out.data)
+        loss = g.reduce_mean(out, 0)
+        del out  # the caller keeps no reference
+        g.backward(loss)
+        assert seen == [None]
+        assert x.grad.tolist() == [1 / 3] * 3
 
     def test_gradients_match_a_walk_over_the_kept_tape(self):
         def kept(g, loss):  # the same walk, with every node left on the tape
@@ -523,7 +543,8 @@ def used_product(use):
     return make
 
 
-# Each makes a (3, 4) tensor that an in-place add or relu must not overwrite.
+# Each makes a (3, 4) tensor that an in-place add, relu or sigmoid must not
+# overwrite.
 NOT_FREE = {
     "leaf": lambda g: Tensor(np.ones((3, 4))),
     "parameter": lambda g: Tensor(np.zeros(20)[4:16].reshape(3, 4)),
@@ -535,29 +556,46 @@ NOT_FREE = {
     "relu_output": lambda g: g.relu(fresh_product(g)),
     "relu_output_in_place": lambda g: g.relu(fresh_product(g), inplace=True),
     "sigmoid_output": lambda g: g.sigmoid(fresh_product(g)),
+    "sigmoid_output_in_place": lambda g: g.sigmoid(fresh_product(g), inplace=True),
     "record_op_input": used_product(
         lambda g, t: g.record_op(t.data.sum(), (t,), lambda grad: None)),
     "written_by_add": used_product(lambda g, t: g.add(t, Tensor(np.ones(4)), inplace=True)),
     "written_by_relu": used_product(lambda g, t: g.relu(t, inplace=True)),
+    "written_by_sigmoid": used_product(lambda g, t: g.sigmoid(t, inplace=True)),
 }
+
+
+def in_place(g, op, t):
+    """``op`` with ``inplace=True`` on a (3, 4) tensor ``t``."""
+    if op == "add":
+        return g.add(t, Tensor(np.ones(4)), inplace=True)
+    return getattr(g, op)(t, inplace=True)
 
 
 class TestInPlace:
     """``inplace=True`` writes into the first operand's buffer only when it is free."""
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("op", ["add", "relu"])
+    @pytest.mark.parametrize("op", ["add", "relu", "sigmoid"])
     @pytest.mark.parametrize("case", NOT_FREE)
     def test_refuses_a_tensor_that_is_not_free(self, case, op, record):
         g = Graph(record=record)
         t = NOT_FREE[case](g)
         before = t.data.copy()
         with pytest.raises(ContractError, match=f"{op} cannot write in place"):
-            if op == "add":
-                g.add(t, Tensor(np.ones(4)), inplace=True)
-            else:
-                g.relu(t, inplace=True)
+            in_place(g, op, t)
         assert t.data.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("op", ["add", "relu", "sigmoid"])
+    def test_a_mul_result_is_a_free_target(self, op):
+        # its backward reads the operands, which stay refused, not the result
+        g = Graph()
+        a, b = fresh_product(g), Tensor(np.full((3, 4), 0.5))
+        m = g.mul(a, b)
+        assert in_place(g, op, m).data is m.data
+        for operand in (a, b):
+            with pytest.raises(ContractError, match=f"{op} cannot write in place"):
+                in_place(g, op, operand)
 
     def test_add_and_relu_reuse_the_product_buffer(self):
         g = Graph()
@@ -598,6 +636,21 @@ class TestInPlace:
             out = g.mul(h, h)
             g.backward(g.reduce_mean(g.reduce_mean(out, 1), 0))
             return [t.tobytes() for t in (h.data, x.grad, w.grad, b.grad)]
+
+        assert run(True) == run(False)
+
+    def test_in_place_sigmoid_matches_out_of_place_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(6, 5)))
+        w = Tensor(rng.normal(scale=300.0, size=(5, 4)))  # some logits saturate
+
+        def run(inplace):
+            for t in (x, w):
+                t.grad = None
+            g = Graph()
+            s = g.sigmoid(g.matmul(x, w), inplace=inplace)
+            g.backward(g.reduce_mean(g.reduce_mean(g.mul(s, s), 1), 0))
+            return [t.tobytes() for t in (s.data, x.grad, w.grad)]
 
         assert run(True) == run(False)
 

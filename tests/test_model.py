@@ -154,11 +154,11 @@ class TestBuild:
 
     @pytest.mark.parametrize("spare, refused", [(0, False), (-1, True)])
     def test_memory_bound_counts_the_training_state(self, monkeypatch, spare, refused):
-        # params, grads, Adam's m, v and two scratch vectors, and the best
-        # epoch: seven float64 copies of the parameters
+        # params, grads, Adam's m and v, and the best epoch: five float64
+        # copies of the parameters (Adam's scratch is one block long)
         args = (schema_of(3), vocab_of([4] * 3), 2, MMBAttnConfig(reduction_ratio=2),
                 TowerConfig((4,)))
-        assert TRAINING_COPIES == 7
+        assert TRAINING_COPIES == 5
         memory = TRAINING_COPIES * 8 * build(*args, seed=1).params.size + spare
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
                                             "SC_PHYS_PAGES": memory}.__getitem__)
