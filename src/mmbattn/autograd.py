@@ -24,12 +24,11 @@ gradients are exact; and a graph runs ``backward`` at most once.
 
 Buffer ownership: ``add``, ``relu`` and ``sigmoid`` with ``inplace=True``
 write into their first operand's buffer and return a new tensor over it.
-The write is refused unless that operand is *free*: a fresh ``matmul``,
-``mul`` or ``add`` result that no recorded backward reads and no view
-aliases.  ``matmul``, ``mul``, ``reshape`` and ``record_op`` (through its
-``inputs``) clear the flag on what they read; an in-place write consumes
-it.  The caller still promises that nothing reads the operand after the
-write.
+The write is accepted only into the result of the graph's last op, when
+that op was a ``matmul``, ``mul`` or ``add``: their backward rules read
+their operands, never their result, and no later op can have read it or
+made a view of it.  The caller still promises that nothing reads the
+operand after the write.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 class Tensor:
     """A shaped float64 buffer and the gradient ``backward`` accumulated into it."""
 
-    __slots__ = ("data", "grad", "free")
+    __slots__ = ("data", "grad")
     # Read-only: a recording graph differentiates every tensor it touches.
     # Kept only because the benchmark's tracer reads it.
     requires_grad = True
@@ -60,7 +59,6 @@ class Tensor:
             arr = np.ascontiguousarray(arr)  # keeps ndim: 0-d arrays are contiguous
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
-        self.free = False  # may an in-place op overwrite ``data``? (module docstring)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -133,7 +131,8 @@ class Graph:
     """Append-only tape of executed operations.
 
     One graph per forward/backward pass.  Parameters are shared across
-    graphs; each graph owns its intermediate tensors.  A recording graph
+    graphs; each graph owns its intermediate tensors, and another graph's
+    ops are not seen: the in-place target is per graph.  A recording graph
     tapes every op and differentiates every tensor it touches;
     ``record=False`` runs ops forward-only (evaluation mode).
     """
@@ -142,28 +141,29 @@ class Graph:
         self.record = record
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._spent = False
+        self._target: Tensor | None = None  # what an in-place op may overwrite
 
     # -- plumbing -----------------------------------------------------
 
     def _result(self, data, backward: Callable[[np.ndarray], None],
-                free: bool = False) -> Tensor:
+                target: bool = False) -> Tensor:
         out = Tensor(data)
-        out.free = free
+        self._target = out if target else None
         if self.record:
             self._nodes.append((out, backward))
         return out
 
-    @staticmethod
-    def _claim(a: Tensor, inplace: bool, op: str) -> np.ndarray | None:
+    def _claim(self, a: Tensor, inplace: bool, op: str) -> np.ndarray | None:
         """The buffer an op writes its result into: ``a``'s if ``inplace``,
-        else None (a new array)."""
+        else None (a new array).  ``a`` must be the in-place target: the
+        result of this graph's last op, a matmul, mul or add."""
         if not inplace:
             return None
-        if not a.free:
+        if a is not self._target:
             raise ContractError(f"{op} cannot write in place into a tensor of shape "
-                                f"{a.shape}: it is not a fresh matmul, mul or add result, "
-                                f"or a backward or a view still reads it")
-        a.free = False
+                                f"{a.shape}: it is not the result of this graph's last op, "
+                                f"or that op was not a matmul, mul or add")
+        self._target = None
         return a.data
 
     def record_op(self, data, inputs: Sequence[Tensor],
@@ -171,12 +171,9 @@ class Graph:
         """Register an externally implemented differentiable operation.
 
         ``backward`` receives the upstream gradient of the output and calls
-        :func:`accumulate_grad` on each of ``inputs``.  ``inputs`` names
-        what the backward writes and may read, so the graph clears their
-        ``free`` flag; the benchmark's tracer reads it too.
+        :func:`accumulate_grad` on each of ``inputs``.  The graph does not
+        read ``inputs``; it stays because the benchmark's tracer does.
         """
-        for t in inputs:
-            t.free = False
         return self._result(data, backward)
 
     def backward(self, loss: Tensor) -> None:
@@ -208,13 +205,11 @@ class Graph:
         if a.shape[1] != b.shape[0]:
             raise ContractError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
 
-        a.free = b.free = False  # the backward reads both
-
         def backward(g: np.ndarray) -> None:
             accumulate_grad(a, g @ b.data.T)
             accumulate_grad(b, a.data.T @ g)
 
-        return self._result(a.data @ b.data, backward, free=True)
+        return self._result(a.data @ b.data, backward, target=True)
 
     def add(self, a: Tensor, b: Tensor, inplace: bool = False) -> Tensor:
         _check_broadcast(a.shape, b.shape)
@@ -226,18 +221,17 @@ class Graph:
             accumulate_grad(a, g)
 
         out = np.add(a.data, b.data, out=self._claim(a, inplace, "add"))
-        return self._result(out, backward, free=True)
+        return self._result(out, backward, target=True)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast(a.shape, b.shape)
-        a.free = b.free = False  # the backward reads both
 
         def backward(g: np.ndarray) -> None:
             accumulate_grad(b, _reduce_to(g * a.data, b.shape))
             g *= b.data
             accumulate_grad(a, g)
 
-        return self._result(a.data * b.data, backward, free=True)
+        return self._result(a.data * b.data, backward, target=True)
 
     def _check_axis(self, a: Tensor, axis: int) -> None:
         if not 0 <= axis < a.data.ndim:
@@ -291,7 +285,6 @@ class Graph:
         new_shape = tuple(int(s) for s in shape)
         if int(np.prod(new_shape, dtype=np.int64)) != a.size:
             raise ContractError(f"cannot reshape {a.shape} to {new_shape}")
-        a.free = False  # the result is a view of a's buffer
 
         def backward(g: np.ndarray) -> None:
             accumulate_grad(a, g.reshape(a.shape))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .attention import MMBAttnConfig
 from .data import FieldSchema, SynthSpec
-from .errors import ConfigError, naming, reading
+from .errors import ConfigError, check_memory, naming, reading
 from .model import TowerConfig
 from .training import TrainConfig
 
@@ -274,12 +274,21 @@ def load_synth_spec(path) -> SynthSpec:
     kv = parse_kv(path)
     with naming(path):
         values = _read_keys(kv, _SYNTH_KEYS)
-        cards, n_fields = values["synth.cardinality"], values["synth.fields"]
+        rows, n_fields = values["synth.rows"], values["synth.fields"]
+        cards = values["synth.cardinality"]
+        # Bounded before anything is allocated, each key adding what it
+        # costs: the logit vector, the int64 value table, and one vocabulary
+        # entry per value.
+        need = 8 * rows
+        check_memory("synth.rows", need, "the synthetic data")
+        need += 8 * rows * n_fields
+        check_memory("synth.fields", need, "the synthetic data")
         if len(cards) == 1:
             cards *= n_fields
         if len(cards) != n_fields:
             raise ConfigError("synth.cardinality must have one entry or one per field")
-        return SynthSpec(n_rows=values["synth.rows"], cardinalities=cards,
+        check_memory("synth.cardinality", need + 8 * sum(cards), "the synthetic data")
+        return SynthSpec(n_rows=rows, cardinalities=cards,
                          informative=values["synth.informative"],
                          weight_scale=values["synth.weight_scale"],
                          seed=values["synth.seed"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autograd import stable_sigmoid
 from .checkpoint import write_atomic
-from .errors import ConfigError, ContractError, DataError, reading
+from .errors import ConfigError, ContractError, DataError, check_memory, reading
 from .seeding import derive_seed
 
 CATEGORICAL = "categorical"
@@ -55,6 +55,8 @@ class FieldSchema:
             raise ConfigError("schema.min_count must be >= 1")
         if self.buckets < 1:
             raise ConfigError("schema.buckets must be >= 1")
+        if any(kind == NUMERIC for _, kind in self.fields):
+            check_memory("schema.buckets", 8 * self.buckets, "bucketing a numeric field")
 
     @property
     def n_fields(self) -> int:
@@ -340,7 +342,7 @@ class SynthSpec:
             raise ConfigError("label rule needs at least one informative field")
         if len(set(self.informative)) != len(self.informative):
             raise ConfigError("duplicate informative field index")
-        if not set(self.informative) <= set(range(self.n_fields)):
+        if not all(0 <= f < self.n_fields for f in self.informative):
             raise ConfigError("informative field index out of range")
         if not self.weight_scale > 0:
             raise ConfigError("weight_scale must be positive")
@@ -380,13 +382,13 @@ def _synth_weights(spec: SynthSpec) -> dict[int, np.ndarray]:
 
 
 def synth_truth(spec: SynthSpec) -> SynthTruth:
-    weights = _synth_weights(spec)
     # click probability of every informative-value combination (all equally likely)
     n_combos = 1
     for f in spec.informative:
         n_combos *= spec.cardinalities[f]
-    if n_combos > 2_000_000:
+    if n_combos > 2_000_000:  # checked before the weights are drawn
         raise ConfigError("too many value combinations for exact Bayes computation")
+    weights = _synth_weights(spec)
     logits = np.zeros(1)
     for f in spec.informative:
         logits = (logits[:, None] + weights[f][None, :]).ravel()
@@ -438,9 +440,9 @@ def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
 
 def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
     """Write train/valid/test CSVs plus ground truth atomically; returns row counts."""
+    *splits, truth = synth_generate(spec)  # first, so a refused spec makes no directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    *splits, truth = synth_generate(spec)
     header = ",".join((*spec.field_names, "label"))
     for split, batch in zip(SPLITS, splits):
         lines = [header]

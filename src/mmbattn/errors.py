@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package: one class per kind of
 input, plus two for the program itself."""
 
+import os
 from contextlib import contextmanager
 
 
@@ -35,6 +36,15 @@ def naming(path):
         yield
     except MMBAttnError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def check_memory(key: str, need: int, what: str) -> None:
+    """Raise ``ConfigError`` naming ``key`` when ``need``, a lower bound on
+    the bytes ``what`` takes, passes physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(f"{key}: {what} needs at least {need:,} bytes, "
+                          f"more than the {memory:,} bytes of physical memory")
 
 
 @contextmanager

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ from .attention import AttnParams, MMBAttnConfig, apply_attention, hidden_width
 from .autograd import Graph, Tensor
 from .data import Batch, FieldSchema, Vocabulary
 from .embedding import EmbeddingTable, lookup
-from .errors import ConfigError
+from .errors import ConfigError, check_memory
 from .seeding import derive_seed
 
 
@@ -127,13 +126,10 @@ def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,
     memory, with a ``ConfigError`` naming the config key whose weights cross it."""
     if d < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     need = 0
     for _, key, _, shape in _initial_arrays(schema, vocab, d, attn, tower):
         need += TRAINING_COPIES * 8 * math.prod(shape)
-        if need > memory:
-            raise ConfigError(f"{key}: training the model needs at least {need:,} "
-                              f"bytes, more than the {memory:,} bytes of physical memory")
+        check_memory(key, need, "training the model")
 
 
 def build(schema: FieldSchema, vocab: Vocabulary, d: int,

@@ -527,10 +527,11 @@ class TestOwnership:
             Tensor([1.0], requires_grad=False)
         with pytest.raises(AttributeError):
             Tensor([1.0]).requires_grad = False
+        assert Tensor.__slots__ == ("data", "grad")
 
 
 def fresh_product(g):
-    """A (3, 4) matmul result: free until something reads it."""
+    """A (3, 4) matmul result: the graph's in-place target until another op runs."""
     rng = np.random.default_rng(5)
     return g.matmul(Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(2, 4))))
 
@@ -573,7 +574,8 @@ def in_place(g, op, t):
 
 
 class TestInPlace:
-    """``inplace=True`` writes into the first operand's buffer only when it is free."""
+    """``inplace=True`` writes into the first operand's buffer only when it is
+    the result of the graph's last op, a matmul, mul or add."""
 
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("op", ["add", "relu", "sigmoid"])
@@ -611,16 +613,36 @@ class TestInPlace:
         g.backward(g.reduce_mean(g.reduce_mean(g.relu(h, inplace=True), 1), 0))
         assert h.grad.tolist() == [[0.0, 0.0, 0.0, 0.25]]
 
-    def test_ops_whose_backward_reads_no_input_leave_it_free(self):
-        # so a later in-place write cannot corrupt their gradient
+    @pytest.mark.parametrize("op", ["add", "relu", "sigmoid"])
+    @pytest.mark.parametrize("read", [
+        lambda g, h: g.reduce_max(h, 1),
+        lambda g, h: g.reduce_mean(h, 0),
+        lambda g, h: g.sigmoid(h),
+        lambda g, h: g.relu(h),
+        lambda g, h: g.add(h, Tensor(np.ones(4))),
+    ], ids=["reduce_max", "reduce_mean", "sigmoid", "relu", "add"])
+    def test_a_result_another_op_has_read_is_refused(self, read, op):
+        # even where that op's backward reads no input: only the last
+        # op's result is a target
         g = Graph()
         h = fresh_product(g)
-        g.reduce_max(h, 1)
-        g.reduce_mean(h, 0)
-        g.sigmoid(h)
-        g.relu(h)
-        g.add(h, Tensor(np.ones(4)))
-        g.add(h, Tensor(np.ones(4)), inplace=True)
+        read(g, h)
+        with pytest.raises(ContractError, match=f"{op} cannot write in place"):
+            in_place(g, op, h)
+
+    @pytest.mark.parametrize("op", ["add", "relu", "sigmoid"])
+    def test_an_earlier_product_is_refused_once_another_op_has_run(self, op):
+        g = Graph()
+        first = fresh_product(g)
+        fresh_product(g)
+        with pytest.raises(ContractError, match=f"{op} cannot write in place"):
+            in_place(g, op, first)
+
+    def test_another_graphs_ops_are_not_seen(self):
+        g = Graph()
+        h = fresh_product(g)
+        fresh_product(Graph())
+        assert in_place(g, "add", h).data is h.data
 
     def test_in_place_layer_matches_out_of_place_bit_for_bit(self):
         rng = np.random.default_rng(3)

@@ -613,6 +613,7 @@ class TestSynthCommand:
                         "synth.weight_scale = 200\nsynth.seed = 3\n")
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {spec}: label base rate ")
+        assert not (tmp_path / "o").exists()
 
     def test_too_many_informative_combinations_names_spec(self, tmp_path, capsys):
         # 2000 x 1001 informative values: 2,002,000 combinations, past the 2M cap
@@ -622,6 +623,7 @@ class TestSynthCommand:
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             f"error: {spec}: too many value combinations for exact Bayes computation\n")
+        assert not (tmp_path / "o").exists()
 
     def test_out_path_that_is_a_file_exits_with_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -893,6 +895,40 @@ class TestConfigErrorsNameTheirFile:
         err = self.run_error(cfg, capsys, tmp_path)
         assert err.startswith(f"error: {spec}: ") and message in err
         assert err.count(str(spec)) == 1
+
+    # Each value's allocation passes physical memory; it is refused before
+    # anything is allocated.  The noise field f2 gets the huge cardinality.
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("line", ["synth.rows = 1000000000000",
+                                      "synth.fields = 1000000000000",
+                                      "synth.cardinality = 5,5,1000000000000"])
+    def test_synth_spec_past_physical_memory(self, tmp_path, capsys, command, line):
+        cfg = write_tiny_config(tmp_path)
+        spec = tmp_path / "synth.conf"
+        key = line.split("=")[0].strip()
+        kept = [ln for ln in spec.read_text().splitlines() if not ln.startswith(key)]
+        spec.write_text("\n".join([*kept, line]) + "\n")
+        out = tmp_path / "o"
+        args = (["train", "--config", str(cfg)] if command == "train"
+                else ["synth", "--spec", str(spec)])
+        assert cli.main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(spec))}: {key}: the synthetic data "
+                            r"needs at least [\d,]+ bytes, more than the [\d,]+ bytes "
+                            r"of physical memory\n", err), err
+        assert not out.exists()
+
+    def test_schema_buckets_past_physical_memory(self, tmp_path, capsys):
+        cfg = TestCsvPipeline().write_csv_run(tmp_path)
+        schema = tmp_path / "schema.conf"
+        schema.write_text(schema.read_text().replace("field.f1 = categorical",
+                                                     "field.f1 = numeric")
+                          + "schema.buckets = 1000000000000\n")
+        err = self.run_error(cfg, capsys, tmp_path)
+        assert re.fullmatch(f"error: {re.escape(str(schema))}: schema.buckets: "
+                            r"bucketing a numeric field needs at least [\d,]+ bytes, "
+                            r"more than the [\d,]+ bytes of physical memory\n", err), err
+        assert not (tmp_path / "o").exists()
 
     def test_schema(self, tmp_path, capsys):
         cfg = TestCsvPipeline().write_csv_run(tmp_path)

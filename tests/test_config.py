@@ -1,3 +1,4 @@
+import os
 import re
 from pathlib import Path
 
@@ -253,6 +254,26 @@ class TestSynthSpecFile:
         path.write_text("synth.rows = 100\nsynth.fields = 4\n"
                         "synth.cardinality = 7\nsynth.informative = 0\n")
         assert load_synth_spec(path).cardinalities == (7, 7, 7, 7)
+
+    @pytest.mark.parametrize("spare, refused", [(0, None), (-1, "synth.cardinality"),
+                                                (-1 - 8 * 4 * 2, "synth.fields"),
+                                                (-1 - 8 * 4 * 2 - 8 * 100 * 2,
+                                                 "synth.rows")])
+    def test_memory_bound_counts_rows_cells_and_values(self, tmp_path, monkeypatch,
+                                                        spare, refused):
+        # 100 rows x 2 fields x 4 values: a logit per row, an int64 per
+        # cell and a vocabulary entry per value, 8 bytes each
+        path = tmp_path / "synth.conf"
+        path.write_text(SYNTH)
+        memory = 8 * 100 + 8 * 100 * 2 + 8 * 4 * 2 + spare
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                            "SC_PHYS_PAGES": memory}.__getitem__)
+        if refused is None:
+            load_synth_spec(path)
+            return
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{refused}: the synthetic data needs at least ")):
+            load_synth_spec(path)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "synth.conf"

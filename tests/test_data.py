@@ -380,6 +380,20 @@ class TestSynth:
         with pytest.raises(ConfigError):
             SynthSpec(n_rows=100, cardinalities=(4,), informative=(3,))
 
+    def test_too_many_combinations_refused_before_weights_are_drawn(self):
+        # 3,000,000 informative values pass the 2M cap; drawing their
+        # weights first would take 24 MB
+        import tracemalloc
+        spec = SynthSpec(n_rows=100, cardinalities=(3_000_000, 2), informative=(0,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="too many value combinations"):
+                synth_truth(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_same_seed_byte_identical(self, tmp_path):
         spec = SynthSpec(n_rows=200, cardinalities=(4, 4), informative=(0,), seed=5)
         synth_write_csv(spec, tmp_path / "a")
