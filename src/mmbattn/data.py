@@ -381,7 +381,15 @@ def _synth_weights(spec: SynthSpec) -> dict[int, np.ndarray]:
     return out
 
 
+def mann_whitney(pos: np.ndarray, neg: np.ndarray) -> float:
+    """AUC from each distinct score's positive and negative mass, scores ascending."""
+    below = np.cumsum(neg) - neg  # negative mass strictly below each score
+    num = float(np.sum(pos * below) + 0.5 * np.sum(pos * neg))
+    return num / float(pos.sum() * neg.sum())
+
+
 def synth_truth(spec: SynthSpec) -> SynthTruth:
+    """Field importances, base rate and exact Bayes AUC of the generating rule."""
     # click probability of every informative-value combination (all equally likely)
     n_combos = 1
     for f in spec.informative:
@@ -393,17 +401,12 @@ def synth_truth(spec: SynthSpec) -> SynthTruth:
     for f in spec.informative:
         logits = (logits[:, None] + weights[f][None, :]).ravel()
     probs = stable_sigmoid(logits)
-    # Bayes AUC: expected AUC of the true click probability as the ranking score
     uniq, counts = np.unique(probs, return_counts=True)  # ascending
-    pos = counts * uniq
-    neg = counts * (1.0 - uniq)
-    below = np.cumsum(neg) - neg  # negative mass strictly below each score
-    num = float(np.sum(pos * below) + 0.5 * np.sum(pos * neg))
-    den = float(pos.sum() * neg.sum())
     importance = tuple(
         float(np.var(weights[f])) if f in weights else 0.0
         for f in range(spec.n_fields))
-    return SynthTruth(importance=importance, bayes_auc=num / den,
+    return SynthTruth(importance=importance,
+                      bayes_auc=mann_whitney(counts * uniq, counts * (1.0 - uniq)),
                       base_rate=float(np.mean(probs)))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .autograd import Graph, Tensor, accumulate_grad, stable_sigmoid
 from .blas import threads_for
-from .data import Batch, batches, check_labels
+from .data import Batch, batches, check_labels, mann_whitney
 from .errors import ConfigError, ContractError, DataError, TrainingError, naming
 from .heap import keep_freed_memory
 from .model import Model
@@ -42,6 +42,8 @@ def bce_loss(y_hat, y) -> float:
     """Direct probability-space log loss (the metric / test-oracle form)."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if y_hat.shape != y.shape:
+        raise ContractError(f"probabilities shape {y_hat.shape} != labels shape {y.shape}")
     check_labels(y)
     return float(-np.mean(np.log(np.where(y == 1.0, y_hat, 1.0 - y_hat))))
 
@@ -70,7 +72,8 @@ def bce_with_logits(g: Graph, logits: Tensor, labels) -> Tensor:
 
 
 def auc(scores, labels) -> float:
-    """Mann–Whitney AUC via midranks; ties count one half, O(n log n)."""
+    """Mann–Whitney AUC, ties counting one half: each distinct score's
+    positives and negatives, counted exactly, go to ``data.mann_whitney``."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if s.ndim != 1 or s.shape != y.shape:
@@ -78,20 +81,11 @@ def auc(scores, labels) -> float:
     if not np.isfinite(s).all():
         raise ContractError("scores must be finite")
     check_labels(y)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if not 0 < y.sum() < y.size:
         raise DataError("AUC undefined: needs at least one positive and one negative")
-    order = np.argsort(s)  # ties share a midrank, so their order is moot
-    ss = s[order]
-    boundaries = np.nonzero(np.diff(ss))[0]
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries, [s.size - 1]))
-    midranks = (starts + ends) / 2.0 + 1.0
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat(midranks, ends - starts + 1)
-    pos_rank_sum = float(ranks[y == 1.0].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    uniq, group = np.unique(s, return_inverse=True)  # 0.0 and -0.0 share a group
+    return mann_whitney(np.bincount(group[y == 1.0], minlength=uniq.size),
+                        np.bincount(group[y == 0.0], minlength=uniq.size))
 
 
 # -- Adam ----------------------------------------------------------------

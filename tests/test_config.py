@@ -1,11 +1,14 @@
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from mmbattn.config import (_REQUIRED, _RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS, _canon,
+from mmbattn.config import (_REQUIRED, _RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS,
+                            SYNTH_FIELD_BYTES, SYNTH_VALUE_BYTES, _canon,
                             load_run_config, load_schema, load_synth_spec, parse_kv)
+from mmbattn.data import SynthSpec
 from mmbattn.errors import ConfigError
 
 TINY = """\
@@ -22,6 +25,11 @@ synth.fields = 2
 synth.cardinality = 4
 synth.informative = 0
 """
+
+
+def patch_memory(monkeypatch, memory):
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
+                                        "SC_PHYS_PAGES": memory}.__getitem__)
 
 
 @pytest.fixture
@@ -255,25 +263,51 @@ class TestSynthSpecFile:
                         "synth.cardinality = 7\nsynth.informative = 0\n")
         assert load_synth_spec(path).cardinalities == (7, 7, 7, 7)
 
-    @pytest.mark.parametrize("spare, refused", [(0, None), (-1, "synth.cardinality"),
-                                                (-1 - 8 * 4 * 2, "synth.fields"),
-                                                (-1 - 8 * 4 * 2 - 8 * 100 * 2,
-                                                 "synth.rows")])
+    @pytest.mark.parametrize("spare, refused", [
+        (0, None), (-1, "synth.cardinality"),
+        (-1 - SYNTH_VALUE_BYTES * 4 * 2, "synth.fields"),
+        (-1 - SYNTH_VALUE_BYTES * 4 * 2 - (8 * 100 + SYNTH_FIELD_BYTES) * 2, "synth.rows")])
     def test_memory_bound_counts_rows_cells_and_values(self, tmp_path, monkeypatch,
                                                         spare, refused):
-        # 100 rows x 2 fields x 4 values: a logit per row, an int64 per
-        # cell and a vocabulary entry per value, 8 bytes each
+        # 100 rows x 2 fields x 4 values: 8 bytes for a logit per row and an
+        # int64 per cell, plus what each field and each value's vocabulary
+        # entry hold
         path = tmp_path / "synth.conf"
         path.write_text(SYNTH)
-        memory = 8 * 100 + 8 * 100 * 2 + 8 * 4 * 2 + spare
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1,
-                                            "SC_PHYS_PAGES": memory}.__getitem__)
+        memory = (8 * 100 + (8 * 100 + SYNTH_FIELD_BYTES) * 2
+                  + SYNTH_VALUE_BYTES * 4 * 2 + spare)
+        patch_memory(monkeypatch, memory)
         if refused is None:
             load_synth_spec(path)
             return
         with pytest.raises(ConfigError, match=re.escape(
                 f"{refused}: the synthetic data needs at least ")):
             load_synth_spec(path)
+
+    def test_a_million_values_past_eight_bytes_each_are_refused(self, tmp_path,
+                                                                 monkeypatch):
+        # a logit per row, an int64 per cell and 8 bytes per value fit, but
+        # the vocabulary's dict holds over 100 bytes per value
+        path = tmp_path / "synth.conf"
+        path.write_text("synth.rows = 100\nsynth.fields = 1\n"
+                        "synth.cardinality = 1000000\nsynth.informative = 0\n")
+        patch_memory(monkeypatch, 8 * 100 + 8 * 100 + 8 * 1_000_000 + 1)
+        with pytest.raises(ConfigError, match=re.escape(
+                "synth.cardinality: the synthetic data needs at least ")):
+            load_synth_spec(path)
+
+    @pytest.mark.parametrize("cards", [(500_000,), (2,) * 50_000],
+                             ids=["one wide field", "many narrow fields"])
+    def test_memory_bound_is_within_half_of_what_the_vocabulary_holds(self, cards):
+        spec = SynthSpec(n_rows=10, cardinalities=cards, informative=(0,))
+        tracemalloc.start()
+        try:
+            kept = spec.schema(), spec.vocabulary()  # alive while measured
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        counted = SYNTH_FIELD_BYTES * len(cards) + SYNTH_VALUE_BYTES * sum(cards)
+        assert held / 2 <= counted <= held
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "synth.conf"

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mmbattn.config import load_synth_spec
 from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, Rows, SynthSpec,
                           batches, build_vocab_rows, encode_rows, hash_split,
                           read_table, synth_generate,
@@ -451,6 +452,13 @@ class TestSynth:
             logits += weights[f][values[:, f]]
         empirical = auc_fn(stable_sigmoid(logits), labels)
         assert abs(empirical - truth.bayes_auc) < 0.005
+
+    @pytest.mark.parametrize("name, bayes_auc", [
+        ("planted_synth.conf", "0x1.fdc83491122a1p-1"),
+        ("tiny_synth.conf", "0x1.e154d1d6c88d6p-1")])
+    def test_bundled_specs_keep_their_bayes_auc_bits(self, name, bayes_auc):
+        spec = load_synth_spec(Path(__file__).resolve().parent.parent / "configs" / name)
+        assert synth_truth(spec).bayes_auc.hex() == bayes_auc
 
     def test_importance_is_contribution_variance(self):
         from mmbattn.data import _synth_weights

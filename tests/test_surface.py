@@ -50,6 +50,9 @@ BENCHMARK_ONLY_ATTRIBUTES = {
     "requires_grad": "perfbench/tracing.py counts matmul FLOPs by it; Tensor keeps "
                      "it as a constant True, since a recording graph differentiates "
                      "every tensor it touches",
+    "eval_batch_size": "perfbench/run.py sizes its evaluation batches by it; "
+                       "TrainConfig keeps it as EVAL_BATCH_SIZE, which the package "
+                       "reads instead",
 }
 
 

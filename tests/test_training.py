@@ -68,6 +68,12 @@ class TestBceLoss:
         with pytest.raises(ContractError, match="^labels must be 0 or 1$"):
             bce_loss([0.5], [0.7])
 
+    @pytest.mark.parametrize("y_hat, y", [([[0.9], [0.1]], [1.0, 0.0]),
+                                          ([0.9, 0.1, 0.5], [1.0])])
+    def test_unequal_shapes_refused_not_broadcast(self, y_hat, y):
+        with pytest.raises(ContractError, match="^probabilities shape .* != labels shape "):
+            bce_loss(y_hat, y)
+
 
 class TestBceWithLogits:
     def test_logit_gradient_is_residual_over_n(self):
@@ -120,8 +126,8 @@ class TestAuc:
 
     def test_bit_equal_to_stable_sort_reference_on_ties(self):
         rng = np.random.default_rng(22)
-        for _ in range(300):
-            n = int(rng.integers(2, 20001))
+        for size in [None] * 300 + [200_000]:  # 300 random sizes, then one large split
+            n = size or int(rng.integers(2, 20001))
             # a few distinct values, signed zeros among them: large tie groups
             scores = rng.integers(-4, 5, size=n) * float(rng.choice([0.25, 1e-300, 3.0]))
             scores[rng.random(n) < 0.1] = -0.0
