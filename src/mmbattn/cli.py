@@ -18,8 +18,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .attention import ABLATION_ROWS
 from .config import RunConfig, load_run_config, load_schema, load_synth_spec
-from .data import (SPLITS, Batch, FieldSchema, Vocabulary, build_vocab_rows, encode_rows,
-                   hash_split, read_table, synth_generate, synth_write_csv)
+from .data import (SPLITS, Batch, FieldSchema, SynthSpec, Vocabulary, build_vocab_rows,
+                   encode_rows, hash_split, read_table, synth_generate, synth_write_csv)
 from .errors import ConfigError, DataError, MMBAttnError, naming
 from .gradcheck import run_gradcheck
 from .model import Model, build, check_fits
@@ -32,7 +32,7 @@ GRADCHECK_TOL = 1e-4
 @dataclass
 class PreparedData:
     schema: FieldSchema
-    vocab: Vocabulary
+    vocab: Vocabulary | SynthSpec  # read only for ``sizes``
     train: Batch
     valid: Batch
     test: Batch
@@ -45,7 +45,7 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         spec = load_synth_spec(sources[0])
         with naming(sources[0]):
             *splits, _ = synth_generate(spec)
-        prepared = PreparedData(spec.schema(), spec.vocabulary(), *splits)
+        prepared = PreparedData(spec.schema(), spec, *splits)
     else:
         schema = load_schema(cfg.path("data.schema"))
         if cfg.values["data.file"] is not None:

@@ -53,9 +53,11 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
+    items = [part.strip() for part in raw.split(",")]
+    if not any(items):
         raise ValueError("empty list")
+    if not all(items):
+        raise ValueError(f"empty entry in {raw!r}")
     return tuple(int(part) for part in items)
 
 
@@ -260,11 +262,6 @@ def load_schema(path) -> FieldSchema:
 
 # -- synthetic-data spec files ----------------------------------------------
 
-# Lower bounds on what ``SynthSpec.schema()`` plus ``vocabulary()`` hold, by
-# tracemalloc on CPython 3.11: 69 bytes or more per value (119 in one
-# 1,000,000-value field) and 160 per field (420 with cardinality 2).
-SYNTH_VALUE_BYTES, SYNTH_FIELD_BYTES = 68, 128
-
 _SYNTH_KEYS: dict[str, tuple] = {
     "synth.rows": (int, _REQUIRED),
     "synth.fields": (int, _REQUIRED),
@@ -281,18 +278,16 @@ def load_synth_spec(path) -> SynthSpec:
         values = _read_keys(kv, _SYNTH_KEYS)
         rows, n_fields = values["synth.rows"], values["synth.fields"]
         cards = values["synth.cardinality"]
-        # Bounded before anything is allocated, each key adding what it costs:
-        # the logits, the int64 value table, and the schema and vocabulary.
-        need = 8 * rows
+        # Bounded before anything is allocated by what ``synth_generate`` holds
+        # drawing labels: four float64 vectors per row, a uint32 per cell.
+        need = 32 * rows
         check_memory("synth.rows", need, "the synthetic data")
-        need += (8 * rows + SYNTH_FIELD_BYTES) * n_fields
+        need += 4 * rows * n_fields
         check_memory("synth.fields", need, "the synthetic data")
         if len(cards) == 1:
             cards *= n_fields
         if len(cards) != n_fields:
             raise ConfigError("synth.cardinality must have one entry or one per field")
-        need += SYNTH_VALUE_BYTES * sum(cards)
-        check_memory("synth.cardinality", need, "the synthetic data")
         return SynthSpec(n_rows=rows, cardinalities=cards,
                          informative=values["synth.informative"],
                          weight_scale=values["synth.weight_scale"],

@@ -336,8 +336,9 @@ class SynthSpec:
             raise ConfigError("n_rows must be at least 10")
         if not self.cardinalities:
             raise ConfigError("need at least one field")
-        if any(c < 2 for c in self.cardinalities):
-            raise ConfigError("every field cardinality must be >= 2")
+        if any(not 2 <= c < 2 ** 32 for c in self.cardinalities):  # 1-based uint32 indices
+            raise ConfigError("synth.cardinality: every field cardinality must be >= 2 "
+                              f"and at most {2 ** 32 - 1:,}, the largest uint32 index")
         if not self.informative:
             raise ConfigError("label rule needs at least one informative field")
         if len(set(self.informative)) != len(self.informative):
@@ -359,9 +360,10 @@ class SynthSpec:
         return FieldSchema(fields=tuple((n, CATEGORICAL) for n in self.field_names),
                            label_column="label")
 
-    def vocabulary(self) -> Vocabulary:
-        maps = [{f"v{k}": k + 1 for k in range(card)} for card in self.cardinalities]
-        return Vocabulary(maps, [None] * self.n_fields)
+    @property
+    def sizes(self) -> list[int]:
+        """Vocabulary size per field, OOV slot included, as ``Vocabulary.sizes``."""
+        return [c + 1 for c in self.cardinalities]
 
 
 @dataclass(frozen=True)
@@ -411,15 +413,15 @@ def synth_truth(spec: SynthSpec) -> SynthTruth:
 
 
 def synth_table(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Generate raw value ids (n × F) and labels for the whole spec."""
-    values = np.empty((spec.n_rows, spec.n_fields), dtype=np.int64)
+    """Generate encoded value indices (n × F uint32, 1-based) and labels."""
+    values = np.empty((spec.n_rows, spec.n_fields), dtype=np.uint32)
     for f in range(spec.n_fields):
         rng = np.random.default_rng(derive_seed(spec.seed, f"synth-values:f{f}"))
-        values[:, f] = rng.integers(0, spec.cardinalities[f], size=spec.n_rows)
+        values[:, f] = rng.integers(1, spec.cardinalities[f] + 1, size=spec.n_rows)
     weights = _synth_weights(spec)
     logits = np.zeros(spec.n_rows)
     for f in spec.informative:
-        logits += weights[f][values[:, f]]
+        logits += weights[f][values[:, f] - 1]
     rng = np.random.default_rng(derive_seed(spec.seed, "synth-labels"))
     labels = (rng.random(spec.n_rows) < stable_sigmoid(logits)).astype(np.float64)
     return values, labels
@@ -431,8 +433,7 @@ def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
     if not 0.05 < truth.base_rate < 0.95:
         raise ConfigError(f"label base rate {truth.base_rate:.4f} outside (0.05, 0.95); "
                            "reduce weight_scale or reseed")
-    values, labels = synth_table(spec)
-    full = Batch((values + 1).astype(np.uint32), labels)
+    full = Batch(*synth_table(spec))
     n_train = int(spec.n_rows * 0.8)
     n_valid = int(spec.n_rows * 0.1)
     train = full.take(slice(0, n_train))

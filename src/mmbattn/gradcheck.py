@@ -9,7 +9,7 @@ import numpy as np
 
 from .attention import MMBAttnConfig
 from .autograd import Graph
-from .data import Batch, FieldSchema, Vocabulary
+from .data import Batch, FieldSchema, SynthSpec, Vocabulary
 from .model import TowerConfig, build
 from .training import _logits_bce_value, bce_with_logits
 
@@ -48,11 +48,11 @@ def check_model(model, batch: Batch) -> dict[str, float]:
             for name, lo, hi in spans}
 
 
-def run_gradcheck(schema: FieldSchema, vocab: Vocabulary, batch: Batch, d: int,
-                  tower: TowerConfig, reduction_ratio: int,
+def run_gradcheck(schema: FieldSchema, vocab: Vocabulary | SynthSpec, batch: Batch,
+                  d: int, tower: TowerConfig, reduction_ratio: int,
                   seeds: tuple[int, ...]) -> dict[str, float]:
     """FD comparison for every seed and all eight (use_max, use_mean,
-    use_bitwise) combinations.
+    use_bitwise) combinations; ``vocab`` is read only for its ``sizes``.
 
     Returns the max relative error per parameter group, aggregated over
     every model in which the group exists.

@@ -9,7 +9,7 @@ import numpy as np
 
 from .attention import AttnParams, MMBAttnConfig, apply_attention, hidden_width
 from .autograd import Graph, Tensor
-from .data import Batch, FieldSchema, Vocabulary
+from .data import Batch, FieldSchema, SynthSpec, Vocabulary
 from .embedding import EmbeddingTable, lookup
 from .errors import ConfigError, check_memory
 from .seeding import derive_seed
@@ -91,7 +91,7 @@ class Model:
         return collect["w_mm"].data
 
 
-def _initial_arrays(schema: FieldSchema, vocab: Vocabulary, d: int,
+def _initial_arrays(schema: FieldSchema, vocab: Vocabulary | SynthSpec, d: int,
                     attn: MMBAttnConfig, tower: TowerConfig):
     """Every parameter in registry order as ``(name, key, std, shape)``:
     ``key`` is the config key that sizes it, ``shape`` the shape it is
@@ -119,11 +119,12 @@ def _initial_arrays(schema: FieldSchema, vocab: Vocabulary, d: int,
 TRAINING_COPIES = 5
 
 
-def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,
+def check_fits(schema: FieldSchema, vocab: Vocabulary | SynthSpec, d: int,
                attn: MMBAttnConfig, tower: TowerConfig) -> None:
     """Refuse, without drawing anything, a model ``build`` cannot make:
     ``d < 1``, or ``TRAINING_COPIES`` copies of its parameters past physical
-    memory, with a ``ConfigError`` naming the config key whose weights cross it."""
+    memory, with a ``ConfigError`` naming the config key whose weights cross it.
+    ``vocab`` is read only for its ``sizes``."""
     if d < 1:
         raise ConfigError("model.embedding_dim must be >= 1")
     need = 0
@@ -132,10 +133,11 @@ def check_fits(schema: FieldSchema, vocab: Vocabulary, d: int,
         check_memory(key, need, "training the model")
 
 
-def build(schema: FieldSchema, vocab: Vocabulary, d: int,
+def build(schema: FieldSchema, vocab: Vocabulary | SynthSpec, d: int,
           attn: MMBAttnConfig, tower: TowerConfig, seed: int) -> Model:
     """Deterministic model construction with a documented registry order.
 
+    ``vocab``, a ``Vocabulary`` or a ``SynthSpec``, is read only for ``sizes``.
     Every initial array is drawn here from its own ``init:<name>`` stream:
     embedding tables Normal(0, 0.01^2), row 0 (OOV) like any row; attention
     branch weights Normal(0, 1/C) for branch input width C, drawn (out, in)

@@ -302,7 +302,7 @@ class TestTapeRelease:
     def model_and_batch(self):
         spec = SynthSpec(n_rows=200, cardinalities=(3, 4, 5), informative=(0,), seed=2)
         train, *_ = synth_generate(spec)
-        model = build(spec.schema(), spec.vocabulary(), 3, MMBAttnConfig(reduction_ratio=2),
+        model = build(spec.schema(), spec, 3, MMBAttnConfig(reduction_ratio=2),
                       TowerConfig((6, 4)), seed=1)
         return model, train.take(slice(0, 64))
 

@@ -45,7 +45,7 @@ def small_run(hidden=(16,), rows=1200):
     spec = SynthSpec(n_rows=rows, cardinalities=(2, 4, 4), informative=(0,),
                      weight_scale=10.0, seed=7)
     tr, va, te, _ = synth_generate(spec)
-    model = build(spec.schema(), spec.vocabulary(), 4, ATTN_OFF, TowerConfig(hidden), seed=1)
+    model = build(spec.schema(), spec, 4, ATTN_OFF, TowerConfig(hidden), seed=1)
     return model, (tr, va, te), TrainConfig(batch_size=128, max_epochs=1)
 
 

@@ -625,6 +625,25 @@ class TestSynthCommand:
             f"error: {spec}: too many value combinations for exact Bayes computation\n")
         assert not (tmp_path / "o").exists()
 
+    def test_a_million_value_field_builds_no_vocabulary(self, tmp_path):
+        # a synthetic run reads each field's size from the spec: holding the
+        # 1,000-row splits takes kilobytes, not a dict entry per value
+        import tracemalloc
+        cfg = write_tiny_config(tmp_path)
+        (tmp_path / "synth.conf").write_text(
+            "synth.rows = 1000\nsynth.fields = 2\nsynth.cardinality = 8,1000000\n"
+            "synth.informative = 0\n")
+        run_cfg = load_run_config(cfg)
+        cli.prepare_data(run_cfg)  # once untraced, so lazy imports are not counted
+        tracemalloc.start()
+        try:
+            prepared = cli.prepare_data(run_cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert prepared.vocab.sizes == [9, 1_000_001]
+        assert held < 2_000_000
+
     def test_out_path_that_is_a_file_exits_with_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("")
@@ -897,11 +916,10 @@ class TestConfigErrorsNameTheirFile:
         assert err.count(str(spec)) == 1
 
     # Each value's allocation passes physical memory; it is refused before
-    # anything is allocated.  The noise field f2 gets the huge cardinality.
+    # anything is allocated.
     @pytest.mark.parametrize("command", ["train", "synth"])
     @pytest.mark.parametrize("line", ["synth.rows = 1000000000000",
-                                      "synth.fields = 1000000000000",
-                                      "synth.cardinality = 5,5,1000000000000"])
+                                      "synth.fields = 1000000000000"])
     def test_synth_spec_past_physical_memory(self, tmp_path, capsys, command, line):
         cfg = write_tiny_config(tmp_path)
         spec = tmp_path / "synth.conf"
@@ -916,6 +934,23 @@ class TestConfigErrorsNameTheirFile:
         assert re.fullmatch(f"error: {re.escape(str(spec))}: {key}: the synthetic data "
                             r"needs at least [\d,]+ bytes, more than the [\d,]+ bytes "
                             r"of physical memory\n", err), err
+        assert not out.exists()
+
+    # Indices are uint32 and 1-based: 2**32 values would wrap the largest.
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    @pytest.mark.parametrize("card", [2 ** 32, 10 ** 30])
+    def test_synth_cardinality_past_uint32_indices(self, tmp_path, capsys, command, card):
+        cfg = write_tiny_config(tmp_path)
+        spec = tmp_path / "synth.conf"
+        spec.write_text(spec.read_text().replace("synth.cardinality = 5",
+                                                 f"synth.cardinality = 5,5,{card}"))
+        out = tmp_path / "o"
+        args = (["train", "--config", str(cfg)] if command == "train"
+                else ["synth", "--spec", str(spec)])
+        assert cli.main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec}: synth.cardinality: every field cardinality must be >= 2 "
+            f"and at most 4,294,967,295, the largest uint32 index\n")
         assert not out.exists()
 
     def test_schema_buckets_past_physical_memory(self, tmp_path, capsys):

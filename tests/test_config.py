@@ -5,10 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from mmbattn.config import (_REQUIRED, _RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS,
-                            SYNTH_FIELD_BYTES, SYNTH_VALUE_BYTES, _canon,
+from mmbattn.config import (_REQUIRED, _RUN_KEYS, _SCHEMA_KEYS, _SYNTH_KEYS, _canon,
                             load_run_config, load_schema, load_synth_spec, parse_kv)
-from mmbattn.data import SynthSpec
+from mmbattn.data import SynthSpec, synth_generate
 from mmbattn.errors import ConfigError
 
 TINY = """\
@@ -264,19 +263,15 @@ class TestSynthSpecFile:
         assert load_synth_spec(path).cardinalities == (7, 7, 7, 7)
 
     @pytest.mark.parametrize("spare, refused", [
-        (0, None), (-1, "synth.cardinality"),
-        (-1 - SYNTH_VALUE_BYTES * 4 * 2, "synth.fields"),
-        (-1 - SYNTH_VALUE_BYTES * 4 * 2 - (8 * 100 + SYNTH_FIELD_BYTES) * 2, "synth.rows")])
+        (0, None), (-1, "synth.fields"), (-1 - 4 * 100 * 2, "synth.rows")])
     def test_memory_bound_counts_rows_cells_and_values(self, tmp_path, monkeypatch,
                                                         spare, refused):
-        # 100 rows x 2 fields x 4 values: 8 bytes for a logit per row and an
-        # int64 per cell, plus what each field and each value's vocabulary
-        # entry hold
+        # 100 rows x 2 fields: 32 bytes per row for the four float64 vectors
+        # the label draw holds, plus a uint32 per cell of the value table;
+        # a field's values cost nothing, as no vocabulary is built for them
         path = tmp_path / "synth.conf"
         path.write_text(SYNTH)
-        memory = (8 * 100 + (8 * 100 + SYNTH_FIELD_BYTES) * 2
-                  + SYNTH_VALUE_BYTES * 4 * 2 + spare)
-        patch_memory(monkeypatch, memory)
+        patch_memory(monkeypatch, 32 * 100 + 4 * 100 * 2 + spare)
         if refused is None:
             load_synth_spec(path)
             return
@@ -284,30 +279,25 @@ class TestSynthSpecFile:
                 f"{refused}: the synthetic data needs at least ")):
             load_synth_spec(path)
 
-    def test_a_million_values_past_eight_bytes_each_are_refused(self, tmp_path,
-                                                                 monkeypatch):
-        # a logit per row, an int64 per cell and 8 bytes per value fit, but
-        # the vocabulary's dict holds over 100 bytes per value
-        path = tmp_path / "synth.conf"
-        path.write_text("synth.rows = 100\nsynth.fields = 1\n"
-                        "synth.cardinality = 1000000\nsynth.informative = 0\n")
-        patch_memory(monkeypatch, 8 * 100 + 8 * 100 + 8 * 1_000_000 + 1)
-        with pytest.raises(ConfigError, match=re.escape(
-                "synth.cardinality: the synthetic data needs at least ")):
-            load_synth_spec(path)
-
-    @pytest.mark.parametrize("cards", [(500_000,), (2,) * 50_000],
-                             ids=["one wide field", "many narrow fields"])
-    def test_memory_bound_is_within_half_of_what_the_vocabulary_holds(self, cards):
-        spec = SynthSpec(n_rows=10, cardinalities=cards, informative=(0,))
+    @pytest.mark.parametrize("rows, fields", [(1_000_000, 8), (200_000, 40)],
+                             ids=["1000000x8", "200000x40"])
+    def test_memory_bound_is_within_half_of_what_synth_generate_holds(self, rows, fields):
+        spec = SynthSpec(n_rows=rows, cardinalities=(8,) * fields, informative=(0,))
         tracemalloc.start()
         try:
-            kept = spec.schema(), spec.vocabulary()  # alive while measured
-            held = tracemalloc.get_traced_memory()[0]
+            synth_generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        counted = SYNTH_FIELD_BYTES * len(cards) + SYNTH_VALUE_BYTES * sum(cards)
-        assert held / 2 <= counted <= held
+        bound = 32 * rows + 4 * rows * fields
+        assert bound <= peak <= 2 * bound
+        assert peak <= 9 * rows * fields
+
+    def test_largest_uint32_index_is_a_cardinality(self, tmp_path):
+        # one past it is refused by train and synth (test_cli)
+        path = tmp_path / "synth.conf"
+        path.write_text(SYNTH.replace("cardinality = 4", f"cardinality = 4,{2 ** 32 - 1}"))
+        assert load_synth_spec(path).cardinalities == (4, 2 ** 32 - 1)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "synth.conf"
@@ -364,6 +354,22 @@ class TestSharedErrors:
         message = str(exc.value)
         assert message.startswith(f"{path}: bad value for {key}: ")
         assert repr(raw) in message
+
+    @pytest.mark.parametrize("kind, key, raw, problem", [
+        ("run", "run.seeds", "1,,2", "empty entry in '1,,2'"),
+        ("run", "model.hidden_sizes", "32,,16,", "empty entry in '32,,16,'"),
+        ("synth", "synth.cardinality", "4,,4", "empty entry in '4,,4'"),
+        ("synth", "synth.informative", "0,", "empty entry in '0,'"),
+        ("synth", "synth.informative", " , ", "empty list"),
+    ], ids=["run.seeds", "model.hidden_sizes", "synth.cardinality", "synth.informative",
+            "no entries"])
+    def test_empty_list_entry_names_key(self, tmp_path, kind, key, raw, problem):
+        base = TINY if kind == "run" else SYNTH
+        lines = [ln for ln in base.splitlines() if not ln.startswith(key)]
+        path, load = self.load(tmp_path, kind, "\n".join([*lines, f"{key} = {raw}\n"]))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}: bad value for {key}: {problem}")):
+            load()
 
 
 def documented_defaults(heading):

@@ -449,7 +449,7 @@ class TestSynth:
         weights = _synth_weights(spec)
         logits = np.zeros(spec.n_rows)
         for f in spec.informative:
-            logits += weights[f][values[:, f]]
+            logits += weights[f][values[:, f] - 1]  # indices are 1-based
         empirical = auc_fn(stable_sigmoid(logits), labels)
         assert abs(empirical - truth.bayes_auc) < 0.005
 
@@ -459,6 +459,22 @@ class TestSynth:
     def test_bundled_specs_keep_their_bayes_auc_bits(self, name, bayes_auc):
         spec = load_synth_spec(Path(__file__).resolve().parent.parent / "configs" / name)
         assert synth_truth(spec).bayes_auc.hex() == bayes_auc
+
+    @pytest.mark.parametrize("name, digests", [
+        ("planted_synth.conf", ("8179bef8f35b65d2fd7068f5d08263c380d8e289cfaf38a25e624b6295b58e87",
+                                "e006fa57a6a0ae618f813d4a8a825d0df2ab6eb965822987127b6f26685e1283",
+                                "215e31c4199b657b6153e261a33bf276e8d77beed627b1a642cb50735b05708d")),
+        ("tiny_synth.conf", ("fa014aa0924568325c3c2e724e53956d9ad8527362472defa3e7a73be97b2fec",
+                             "b3e8cf9d08183f5b73915aa12a7395f0d654e88b765dde99462d41582b9cd39d",
+                             "2cd6c5bea48b7ff40e2eae07ec44c381fb7792d61bcd026833244fbf1b188c61")),
+        ("gradcheck_synth.conf", (
+            "bea2dc1a96ce7daf6f803b8f70f2c725a9f0b37eaf36338bd504b7e6d77ca6f1",
+            "0efef8c2149107d65230a77b76fc54024302c539f6808aaeade1f36c8cfc2ff7",
+            "aa4a0aa5ece7d95ac5149c508378d85f4811ff766ea651a161af483f8de2e84e"))])
+    def test_bundled_specs_keep_their_split_digests(self, name, digests):
+        spec = load_synth_spec(Path(__file__).resolve().parent.parent / "configs" / name)
+        *splits, _ = synth_generate(spec)
+        assert tuple(split.digest() for split in splits) == digests
 
     def test_importance_is_contribution_variance(self):
         from mmbattn.data import _synth_weights
@@ -478,7 +494,7 @@ class TestSynth:
         v = values[:, 1]
         mi = 0.0
         n = len(v)
-        for val in range(8):
+        for val in range(1, 9):  # indices are 1-based
             for lab in (0.0, 1.0):
                 joint = np.sum((v == val) & (labels == lab)) / n
                 if joint > 0:

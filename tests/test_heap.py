@@ -27,7 +27,7 @@ def test_repeated_evaluation_faults_in_no_new_pages():
     # above glibc's default 128 KiB mmap threshold
     card, n = (8,) * 8, 8192
     spec = SynthSpec(n_rows=10, cardinalities=card, informative=(0,))
-    model = build(spec.schema(), spec.vocabulary(), 8, MMBAttnConfig(),
+    model = build(spec.schema(), spec, 8, MMBAttnConfig(),
                   TowerConfig((64, 64)), seed=1)
     rng = np.random.default_rng(0)
     data = Batch(rng.integers(0, 8, size=(n, len(card))).astype(np.uint32),

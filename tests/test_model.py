@@ -199,7 +199,7 @@ class TestParameterStore:
         spec = SynthSpec(n_rows=600, cardinalities=(3, 4, 5), informative=(0,),
                          weight_scale=4.0, seed=2)
         tr, va, te, _ = synth_generate(spec)
-        model = build(spec.schema(), spec.vocabulary(), 2,
+        model = build(spec.schema(), spec, 2,
                       MMBAttnConfig(reduction_ratio=2), TowerConfig((4,)), seed=3)
         assert_layout(model)
         before = model.params.copy()

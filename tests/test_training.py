@@ -266,7 +266,7 @@ class TestEarlyStopping:
         Returns the emitted records, the parameters at each valid scoring
         and the parameters left after training."""
         spec, (tr, va, te, _) = tiny_planted()
-        model = build(spec.schema(), spec.vocabulary(), 4, ATTN_OFF,
+        model = build(spec.schema(), spec, 4, ATTN_OFF,
                       TowerConfig((16,)), seed=1)
         real_evaluate, scripted, params_at = training.evaluate, iter(valid_aucs), []
 
@@ -303,7 +303,7 @@ class TestEarlyStopping:
 
 class TestTrainLoop:
     def build_model(self, spec, seed=1, attn=ATTN_OFF):
-        return build(spec.schema(), spec.vocabulary(), 4, attn,
+        return build(spec.schema(), spec, 4, attn,
                      TowerConfig((16,)), seed=seed)
 
     def test_planted_signal_reaches_high_auc_within_three_epochs(self):
@@ -436,7 +436,7 @@ class TestTrainingMemory:
         # second step holds only its own arrays.
         card = (50,) * 10
         spec = SynthSpec(n_rows=10, cardinalities=card, informative=(0,))
-        model = build(spec.schema(), spec.vocabulary(), 10, MMBAttnConfig(),
+        model = build(spec.schema(), spec, 10, MMBAttnConfig(),
                       TowerConfig((400, 400, 400)), seed=1)
         rng = np.random.default_rng(0)
         batch = Batch(rng.integers(0, 50, size=(n, len(card))).astype(np.uint32),
@@ -482,7 +482,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("batch_size", [100, 128, 250, 8192])
     def test_sharded_evaluation_matches_single_thread(self, batch_size):
         spec, (tr, va, te, _) = tiny_planted()
-        model = build(spec.schema(), spec.vocabulary(), 4,
+        model = build(spec.schema(), spec, 4,
                       MMBAttnConfig(reduction_ratio=2), TowerConfig((8,)), seed=3)
         one = evaluate(model, te, batch_size=batch_size, threads=1)
         many = evaluate(model, te, batch_size=batch_size, threads=4)
@@ -495,7 +495,7 @@ class TestEvaluate:
         # second call holds only evaluation's own arrays
         card, n = (8,) * 8, 16384
         spec = SynthSpec(n_rows=10, cardinalities=card, informative=(0,))
-        model = build(spec.schema(), spec.vocabulary(), 8, MMBAttnConfig(),
+        model = build(spec.schema(), spec, 8, MMBAttnConfig(),
                       TowerConfig((64, 64)), seed=1)
         rng = np.random.default_rng(0)
         data = Batch(rng.integers(0, 8, size=(n, len(card))).astype(np.uint32),
@@ -511,7 +511,7 @@ class TestEvaluate:
 
     def test_nan_parameter_raises_naming_row_and_group(self):
         spec, (_, _, te, _) = tiny_planted()
-        model = build(spec.schema(), spec.vocabulary(), 4,
+        model = build(spec.schema(), spec, 4,
                       MMBAttnConfig(reduction_ratio=2), TowerConfig((8,)), seed=3)
         model.registry["tower.1.bias"].data[0] = np.nan
         with pytest.raises(TrainingError, match=r"non-finite logit at row 0, first "
