@@ -44,20 +44,18 @@ def save_checkpoint(path, registry: dict[str, Tensor], digest: bytes) -> None:
     for name, tensor in registry.items():
         encoded = name.encode("utf-8")
         shape = tensor.data.shape
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", len(shape)))
-        chunks.append(struct.pack(f"<{len(shape)}I", *shape))
-        chunks.append(struct.pack("<Q", offset))
+        chunks.append(struct.pack(f"<H{len(encoded)}sB{len(shape)}IQ", len(encoded),
+                                  encoded, len(shape), *shape, offset))
         offset += tensor.data.size
     payload = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes()
                        for t in registry.values())
     chunks += [struct.pack("<Q", offset), hashlib.sha256(payload).digest(), payload]
-    write_atomic(path, b"".join(chunks))
+    write_atomic(path, chunks)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write a temp file beside ``path``, then rename it over ``path``.
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings ``chunks`` yields to a temp file beside
+    ``path``, then rename it over ``path``.
 
     A run killed or failing mid-write leaves the previous file intact and
     removes the temp file.
@@ -65,7 +63,8 @@ def write_atomic(path, data: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -27,6 +27,7 @@ from .seeding import derive_seed
 from .training import EvalReport, evaluate, train
 
 GRADCHECK_TOL = 1e-4
+OOV_WARN_GAP = 0.5
 
 
 @dataclass
@@ -39,7 +40,8 @@ class PreparedData:
 
 
 def prepare_data(cfg: RunConfig) -> PreparedData:
-    """Load the configured splits; refuse a valid or test split AUC cannot score."""
+    """Load the configured splits; refuse a valid or test split AUC cannot
+    score, and warn of a field far more unseen in it than in train."""
     if cfg.values["data.synth"] is not None:
         sources = (cfg.path("data.synth"),) * 3
         spec = load_synth_spec(sources[0])
@@ -50,13 +52,13 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         schema = load_schema(cfg.path("data.schema"))
         if cfg.values["data.file"] is not None:
             sources = (cfg.path("data.file"),) * 3
-            header, rows = read_table(sources[0], schema.delimiter)
-            parts = [(header, rows.take(idx)) for idx in hash_split(len(rows))]
+            header, table = read_table(sources[0], schema.delimiter)
+            parts = [(header, table.take(idx)) for idx in hash_split(len(table))]
         else:  # each pre-split file is read by its own header
             sources = tuple(cfg.path(f"data.{split}") for split in SPLITS)
             parts = [read_table(path, schema.delimiter) for path in sources]
-        for source, split, (_, rows) in zip(sources, SPLITS, parts):
-            if not rows:
+        for source, split, (_, table) in zip(sources, SPLITS, parts):
+            if not table:
                 raise DataError(f"{source}: the {split} split has no rows")
         with naming(sources[0]):
             vocab = build_vocab_rows(*parts[0], schema)
@@ -69,6 +71,13 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         if np.unique(getattr(prepared, split).labels).size < 2:
             raise DataError(f"{source}: the {split} split needs both label classes "
                             f"for AUC")
+    train_oov = (prepared.train.indices == 0).mean(axis=0)
+    for source, split in zip(sources[1:], SPLITS[1:]):
+        oov = (getattr(prepared, split).indices == 0).mean(axis=0)
+        for name, share, base in zip(prepared.schema.field_names, oov, train_oov):
+            if share - base >= OOV_WARN_GAP:  # e.g. a time split's all-new field
+                print(f"warning: {source}: {split} field {name!r}: {share:.0%} of values "
+                      f"unseen in train (train: {base:.0%})", file=sys.stderr)
     return prepared
 
 
@@ -99,7 +108,7 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
 
     def emit(record: dict) -> None:
         lines.append(json.dumps(record, sort_keys=True) + "\n")
-        ckpt.write_atomic(out_dir / "metrics.jsonl", "".join(lines).encode("utf-8"))
+        ckpt.write_atomic(out_dir / "metrics.jsonl", ("".join(lines).encode("utf-8"),))
 
     report = train(model, prepared.train, prepared.valid, prepared.test,
                    cfg.train, run_seed=seed, emit=emit)
@@ -114,14 +123,14 @@ def run_single(cfg: RunConfig, seed: int, out_dir: Path,
         "test_logloss": report.logloss,
     }
     ckpt.write_atomic(out_dir / "run_info.json",
-                      (json.dumps(info, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+                      ((json.dumps(info, indent=2, sort_keys=True) + "\n").encode("utf-8"),))
     return report
 
 
 def _write_csv(path: Path, rows) -> None:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
-    ckpt.write_atomic(path, buf.getvalue().encode("utf-8"))
+    ckpt.write_atomic(path, (buf.getvalue().encode("utf-8"),))
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:

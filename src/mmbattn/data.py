@@ -6,7 +6,7 @@ import copy
 import csv
 import hashlib
 import json
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -22,6 +22,7 @@ from .seeding import derive_seed
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
 SPLITS = ("train", "valid", "test")
+CSV_CHUNK_ROWS = 8192  # rows per block synth_write_csv formats at once
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,6 @@ class Vocabulary:
             out.append(len(m) + 1 if b is None else len(b) + 2)
         return out
 
-    def index_of(self, field: int, raw: str) -> int:
-        bounds = self.boundaries[field]
-        if bounds is None:
-            return self.maps[field].get(raw, 0)
-        try:
-            value = float(raw)
-        except ValueError:
-            return 0
-        if not np.isfinite(value):
-            return 0
-        return int(np.searchsorted(bounds, value, side="right")) + 1
-
 
 def check_labels(labels: np.ndarray) -> None:
     if labels.size and not np.isin(labels, (0.0, 1.0)).all():
@@ -155,28 +144,30 @@ class Batch:
 # -- CSV ingestion ------------------------------------------------------
 
 
-class Rows(list):
-    """Data rows as read from a CSV file; ``lines[i]`` is the file line
-    where row i starts (the header is line 1, and blank lines and quoted
-    line breaks count)."""
+@dataclass(eq=False)
+class Table:
+    """CSV data rows, coded per column: ``codes[i, c]`` is row i's code in
+    column c, numbering the column's distinct texts in first-seen order, and
+    ``texts[c][k]`` is code k's text.  ``lines[i]`` is the file line where row
+    i starts (the header is line 1; blank lines and quoted breaks count)."""
 
-    def __init__(self, rows=(), lines=()):
-        super().__init__(rows)
-        self.lines = list(lines)
+    codes: np.ndarray
+    texts: list[list[str]]
+    lines: np.ndarray
 
-    def take(self, idx) -> "Rows":
-        """The rows at ``idx``, in that order, keeping their lines."""
-        return Rows(map(self.__getitem__, idx), map(self.lines.__getitem__, idx))
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def take(self, idx) -> "Table":
+        """The rows at ``idx``, in that order, with their codes and lines."""
+        return Table(self.codes[idx], self.texts, self.lines[idx])
 
 
-def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
-    """Slurp a CSV file into (header, rows), refusing a blank header line and
-    a row whose width is not the header's; desk-scale datasets only.
-
-    Equal cells share one ``str``, so the vocabulary's keys pin a few
-    thousand strings, not the pages of every row read."""
-    rows = Rows()
-    keep = {}.setdefault
+def read_table(path, delimiter: str = ",") -> tuple[list[str], Table]:
+    """Read a CSV file into (header, table), refusing a blank header line and
+    a row whose width is not the header's.  Each cell is coded as it is
+    read, so the table holds 4 bytes per cell and each distinct text once."""
+    codes, lines = array("I"), array("q")
     with reading(path, DataError), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -186,34 +177,36 @@ def read_table(path, delimiter: str = ",") -> tuple[list[str], Rows]:
             if not header:
                 raise DataError(f"{path}: line 1: empty header")
             width = len(header)
-            add_row, add_line = rows.append, rows.lines.append
+            seen = [{} for _ in header]  # per column: text -> code
             start = reader.line_num + 1
             for row in reader:
                 if row:
                     if len(row) != width:
                         raise DataError(f"{path}: line {start}: expected {width} "
                                         f"columns, got {len(row)}")
-                    add_row(list(map(keep, row, row)))
-                    add_line(start)
+                    codes.extend(map(dict.setdefault, seen, row, map(len, seen)))
+                    lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if not lines:
         raise DataError(f"{path}: no data rows after the header")
-    return header, rows
+    return header, Table(np.frombuffer(codes, codes.typecode).reshape(-1, width),
+                         [list(texts) for texts in seen],
+                         np.frombuffer(lines, lines.typecode))
 
 
-def _columns(header: list[str], rows: Rows, schema: FieldSchema,
-             names: Sequence[str]) -> list[list[str]]:
-    """Return the named columns' cells of rows ``read_table`` checked."""
-    if not isinstance(rows, Rows):
-        raise ContractError("rows must be the data.Rows that read_table returns")
-    for name in (*schema.field_names, schema.label_column):
+def _column_numbers(header: list[str], table: Table, schema: FieldSchema) -> list[int]:
+    """The column of each schema field, then of the label, in ``header``."""
+    if not isinstance(table, Table):
+        raise ContractError("table must be the data.Table that read_table returns")
+    names = (*schema.field_names, schema.label_column)
+    for name in names:
         if name not in header:
             raise DataError(f"missing column {name!r} in header")
         if header.count(name) > 1:
             raise DataError(f"column {name!r} appears more than once in header")
-    return [[row[c] for row in rows] for c in map(header.index, names)]
+    return [header.index(name) for name in names]
 
 
 def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -230,50 +223,53 @@ def _parse_floats(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return values, ok
 
 
-def build_vocab_rows(header: list[str], rows: Rows,
+def build_vocab_rows(header: list[str], table: Table,
                      schema: FieldSchema) -> Vocabulary:
     mc = schema.min_count
-    cols = _columns(header, rows, schema, schema.field_names)
+    *cols, _ = _column_numbers(header, table, schema)
     maps: list[dict[str, int]] = []
     bounds: list[np.ndarray | None] = []
-    for (_, kind), col in zip(schema.fields, cols):
+    for (_, kind), c in zip(schema.fields, cols):
+        codes, texts = table.codes[:, c], table.texts[c]
         if kind == CATEGORICAL:
-            kept = [v for v, c in Counter(col).items() if c >= mc]  # first-seen order
-            maps.append({v: i for i, v in enumerate(kept, start=1)})
+            # first-seen order in these rows; a hash split's part can differ from its file's
+            seen, first, counts = np.unique(codes, return_index=True, return_counts=True)
+            kept = seen[counts >= mc][np.argsort(first[counts >= mc])]
+            maps.append({texts[k]: i for i, k in enumerate(kept.tolist(), start=1)})
             bounds.append(None)
         else:
-            values, ok = _parse_floats(col)
-            vals = values[ok]
+            values, ok = _parse_floats(texts)
+            vals = values[codes[ok[codes]]]
             qs = np.arange(1, schema.buckets) * (1.0 / schema.buckets)
             maps.append({})
             bounds.append(np.unique(np.quantile(vals, qs)) if vals.size else None)
     return Vocabulary(maps, bounds)
 
 
-def encode_rows(header: list[str], rows: Rows,
+def encode_rows(header: list[str], table: Table,
                 schema: FieldSchema, vocab: Vocabulary) -> Batch:
-    """Encode one column at a time; matches ``vocab.index_of`` per cell."""
-    *cols, label_cells = _columns(header, rows, schema,
-                                  (*schema.field_names, schema.label_column))
-    labels, ok = _parse_floats(label_cells)
-    bad = ~ok | ((labels != 0.0) & (labels != 1.0))
+    """Encode one column at a time, looking up or parsing each distinct text once."""
+    *cols, label_col = _column_numbers(header, table, schema)
+    codes, texts = table.codes[:, label_col], table.texts[label_col]
+    labels, ok = _parse_floats(texts)
+    bad = (~ok | ((labels != 0.0) & (labels != 1.0)))[codes]
     if bad.any():
-        r = int(np.flatnonzero(bad)[0])
-        raw = label_cells[r]
-        if not ok[r]:
-            raise DataError(f"line {rows.lines[r]}: label {raw!r} is not a number")
-        raise DataError(f"line {rows.lines[r]}: label must be 0 or 1, got {raw!r}")
-    indices = np.empty((len(rows), schema.n_fields), dtype=np.uint32)
-    for f, col in enumerate(cols):
-        edges = vocab.boundaries[f]
+        r = int(np.argmax(bad))
+        raw = texts[codes[r]]
+        if not ok[codes[r]]:
+            raise DataError(f"line {table.lines[r]}: label {raw!r} is not a number")
+        raise DataError(f"line {table.lines[r]}: label must be 0 or 1, got {raw!r}")
+    indices = np.empty((len(table), schema.n_fields), dtype=np.uint32)
+    for f, c in enumerate(cols):
+        edges, cells = vocab.boundaries[f], table.texts[c]
         if edges is None:
-            indices[:, f] = np.fromiter(map(vocab.maps[f].get, col, repeat(0)),
-                                        dtype=np.uint32, count=len(col))
+            lookup = np.fromiter(map(vocab.maps[f].get, cells, repeat(0)),
+                                 dtype=np.uint32, count=len(cells))
         else:
-            values, parsed = _parse_floats(col)
-            buckets = np.searchsorted(edges, values, side="right") + 1
-            indices[:, f] = np.where(parsed, buckets, 0)
-    return Batch(indices, labels)
+            values, parsed = _parse_floats(cells)
+            lookup = np.where(parsed, np.searchsorted(edges, values, side="right") + 1, 0)
+        indices[:, f] = lookup[table.codes[:, c]]
+    return Batch(indices, labels[codes])
 
 
 # -- deterministic splitting and batching --------------------------------
@@ -442,6 +438,15 @@ def synth_generate(spec: SynthSpec) -> tuple[Batch, Batch, Batch, SynthTruth]:
     return train, valid, test, truth
 
 
+def _csv_chunks(header: str, batch: Batch) -> Iterator[bytes]:
+    """``batch`` as CSV text: the header line, then blocks of ``CSV_CHUNK_ROWS`` rows."""
+    yield (header + "\n").encode("utf-8")
+    for part in batches(batch, CSV_CHUNK_ROWS):
+        yield "".join(",".join([*(f"v{i - 1}" for i in idx), str(int(label))]) + "\n"
+                      for idx, label in zip(part.indices.tolist(),
+                                            part.labels.tolist())).encode("utf-8")
+
+
 def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
     """Write train/valid/test CSVs plus ground truth atomically; returns row counts."""
     *splits, truth = synth_generate(spec)  # first, so a refused spec makes no directory
@@ -449,10 +454,7 @@ def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
     out.mkdir(parents=True, exist_ok=True)
     header = ",".join((*spec.field_names, "label"))
     for split, batch in zip(SPLITS, splits):
-        lines = [header]
-        for idx, label in zip(batch.indices, batch.labels):
-            lines.append(",".join([*(f"v{i - 1}" for i in idx), str(int(label))]))
-        write_atomic(out / f"{split}.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+        write_atomic(out / f"{split}.csv", _csv_chunks(header, batch))
     truth_doc = {
         "fields": list(spec.field_names),
         "informative": list(spec.informative),
@@ -461,5 +463,5 @@ def synth_write_csv(spec: SynthSpec, out_dir) -> dict[str, int]:
         "base_rate": truth.base_rate,
     }
     write_atomic(out / "ground_truth.json",
-                 (json.dumps(truth_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+                 ((json.dumps(truth_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"),))
     return {split: batch.n for split, batch in zip(SPLITS, splits)}

@@ -1,10 +1,11 @@
+import io
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmbattn import checkpoint
 from mmbattn.attention import MMBAttnConfig
 from mmbattn.checkpoint import (load_checkpoint, restore_model, save_checkpoint,
                                 write_atomic)
@@ -13,6 +14,15 @@ from mmbattn.errors import CheckpointError, MMBAttnError
 from mmbattn.model import TowerConfig, build
 
 ATTN_OFF = MMBAttnConfig(use_max=False, use_mean=False, use_bitwise=False)
+
+
+class AllButLastThenFail(io.FileIO):
+    """A file that writes every chunk but the last, then fails as a full disk does."""
+
+    def writelines(self, chunks):
+        *done, _ = chunks
+        super().writelines(done)
+        raise OSError(28, "No space left on device")
 
 
 def make_model(attn=ATTN_OFF, seed=1):
@@ -199,12 +209,7 @@ class TestAtomicWrite:
         save_checkpoint(path, model.registry, DIGEST)
         before = path.read_bytes()
 
-        def half_then_fail(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[:len(data) // 2])
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        monkeypatch.setattr(checkpoint, "open", AllButLastThenFail, raising=False)
         other = make_model(seed=2)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(path, other.registry, DIGEST)
@@ -221,13 +226,13 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="Permission denied"):
-            write_atomic(path, b"new\n")
+            write_atomic(path, (b"new\n",))
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run_info.json"]
 
     def test_replaces_existing_file(self, tmp_path):
         path = tmp_path / "summary.csv"
         path.write_text("old\n")
-        write_atomic(path, b"new\n")
+        write_atomic(path, (b"new\n",))
         assert path.read_bytes() == b"new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]

@@ -674,18 +674,33 @@ class TestCsvPipeline:
         cfg.write_text("\n".join(lines) + "\n")
         return cfg
 
-    def test_presplit_csv_training(self, tmp_path):
+    def test_presplit_csv_training(self, tmp_path, capsys):
         cfg = self.write_csv_run(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "seed_1" / "metrics.jsonl").exists()
+        assert capsys.readouterr().err == ""  # no field is named unseen
 
-    def test_single_file_hash_split(self, tmp_path):
+    def test_single_file_hash_split(self, tmp_path, capsys):
         cfg = self.write_csv_run(tmp_path, single_file=True)
         out = tmp_path / "out"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         info = json.loads((out / "seed_1" / "run_info.json").read_text())
         assert len(set(info["data_digest"].values())) == 3
+        assert capsys.readouterr().err == ""
+
+    def test_field_unseen_in_train_is_named(self, tmp_path, capsys):
+        # a time-based split can make a field all new: the run goes on
+        cfg = self.write_csv_run(tmp_path)
+        paths = {split: tmp_path / "data" / f"{split}.csv" for split in ("valid", "test")}
+        for path in paths.values():  # every f0 cell gets a value train never shows
+            header, *rows = path.read_text().splitlines()
+            path.write_text("".join(line + "\n" for line in (header, *("x" + r for r in rows))))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {path}: {split} field 'f0': 100% of values unseen in train "
+            f"(train: 0%)\n" for split, path in paths.items())
 
     def test_presplit_files_read_by_their_own_header(self, tmp_path):
         cfg = self.write_csv_run(tmp_path)

@@ -1,15 +1,28 @@
+import csv
+import io
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmbattn import checkpoint
 from mmbattn.config import load_synth_spec
-from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, Rows, SynthSpec,
+from mmbattn.data import (CATEGORICAL, NUMERIC, Batch, FieldSchema, SynthSpec, Table,
                           batches, build_vocab_rows, encode_rows, hash_split,
                           read_table, synth_generate,
                           synth_table, synth_truth, synth_write_csv)
 from mmbattn.errors import ConfigError, ContractError, DataError
+
+
+class AllButLastThenFail(io.FileIO):
+    """A file that writes every chunk but the last, then fails as a full disk does."""
+
+    def writelines(self, chunks):
+        *done, _ = chunks
+        super().writelines(done)
+        raise OSError(28, "No space left on device")
 
 
 def one_field_schema():
@@ -35,6 +48,25 @@ def vocab_from(path, schema):
 
 def encode_file(path, schema, vocab):
     return encode_rows(*read_table(path, schema.delimiter), schema, vocab)
+
+
+def index_of(vocab, field, raw):
+    """Per-cell reference lookup that ``encode_rows`` must match."""
+    bounds = vocab.boundaries[field]
+    if bounds is None:
+        return vocab.maps[field].get(raw, 0)
+    try:
+        value = float(raw)
+    except ValueError:
+        return 0
+    if not np.isfinite(value):
+        return 0
+    return int(np.searchsorted(bounds, value, side="right")) + 1
+
+
+def cells(table):
+    """The table's rows as lists of cell texts."""
+    return [[table.texts[c][k] for c, k in enumerate(row)] for row in table.codes.tolist()]
 
 
 class TestSchema:
@@ -63,7 +95,7 @@ class TestBuildVocab:
                              min_count=2)
         vocab = vocab_from(csv_file("f,y\na,1\nb,0\na,1\n"), schema)
         assert vocab.maps[0] == {"a": 1}
-        assert vocab.index_of(0, "b") == 0
+        assert index_of(vocab, 0, "b") == 0
 
     def test_missing_column_named(self, csv_file):
         with pytest.raises(DataError, match="'f'"):
@@ -87,9 +119,9 @@ class TestBuildVocab:
         vocab = vocab_from(csv_file("x,y\n" + rows), schema)
         assert vocab.sizes == [4 + 1]
         # quantile edges put roughly a quarter of the data in each bucket
-        assert vocab.index_of(0, "1") == 1
-        assert vocab.index_of(0, "100") == 4
-        assert vocab.index_of(0, "not-a-number") == 0
+        assert index_of(vocab, 0, "1") == 1
+        assert index_of(vocab, 0, "100") == 4
+        assert index_of(vocab, 0, "not-a-number") == 0
 
     def test_nan_cell_does_not_move_numeric_edges(self, csv_file):
         schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
@@ -110,7 +142,7 @@ class TestBuildVocab:
         assert with_inf.boundaries[0].tolist() == plain.boundaries[0].tolist()
         # the infinite cell takes the OOV index, in encoding and in the oracle
         assert encode_file(path, schema, with_inf).indices[:, 0].tolist() == [1, 2, 3, 4, 0]
-        assert with_inf.index_of(0, cell) == 0
+        assert index_of(with_inf, 0, cell) == 0
 
     def test_numeric_column_without_a_finite_cell_encodes_to_oov(self, csv_file):
         schema = FieldSchema(fields=(("x", NUMERIC),), label_column="y", buckets=4)
@@ -121,7 +153,7 @@ class TestBuildVocab:
         # the field is empty: a finite valid cell has no trained row to go to
         valid = encode_file(csv_file("x,y\n3.5,0\n-7,1\n"), schema, vocab)
         assert valid.indices[:, 0].tolist() == [0, 0]
-        assert [vocab.index_of(0, cell) for cell in ("3.5", "-7")] == [0, 0]
+        assert [index_of(vocab, 0, cell) for cell in ("3.5", "-7")] == [0, 0]
 
 
 class TestEncode:
@@ -172,13 +204,16 @@ def mixed_schema():
 class TestColumnwiseIngest:
     def test_every_index_matches_per_value_reference(self, csv_file):
         schema = mixed_schema()
-        header, rows = read_table(csv_file(MIXED_CSV))
-        vocab = build_vocab_rows(header, rows, schema)
+        path = csv_file(MIXED_CSV)
+        header, table = read_table(path)
+        vocab = build_vocab_rows(header, table, schema)
         # first-seen order; oslo and lima fall below min_count
         assert list(vocab.maps[0]) == ["paris", "rome"]
         assert vocab.maps[0] == {"paris": 1, "rome": 2}
-        batch = encode_rows(header, rows, schema, vocab)
-        expected = [[vocab.index_of(f, row[f]) for f in range(2)] for row in rows]
+        batch = encode_rows(header, table, schema, vocab)
+        with open(path, newline="", encoding="utf-8") as fh:
+            _, *rows = csv.reader(fh)
+        expected = [[index_of(vocab, f, row[f]) for f in range(2)] for row in rows]
         assert batch.indices.tolist() == expected
         assert batch.indices.dtype == np.uint32
         assert [row[0] for row in batch.indices.tolist()] == [1, 2, 1, 0, 2, 1, 0, 2]
@@ -186,6 +221,15 @@ class TestColumnwiseIngest:
         assert temp[1] == 0 and temp[5] == 0  # cells that do not parse
         assert temp[2] == 0  # "nan" counts as unparsed
         assert batch.labels.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+
+    def test_spellings_of_one_number_match_the_reference(self, csv_file):
+        schema = mixed_schema()
+        vocab = vocab_from(csv_file(MIXED_CSV), schema)
+        spellings = ["1", " 1", "1e0", "1.0", "nan", " nan", "-inf"]
+        path = csv_file("city,temp,y\n" + "".join(f"rome,{t},0\n" for t in spellings))
+        temp = encode_file(path, schema, vocab).indices[:, 1].tolist()
+        assert temp == [index_of(vocab, 1, t) for t in spellings]
+        assert len(set(temp[:4])) == 1 and temp[0] > 0 and temp[4:] == [0, 0, 0]
 
     @pytest.mark.parametrize("fn", [build_vocab_rows, encode_rows])
     def test_short_row_named(self, fn, csv_file):
@@ -222,7 +266,7 @@ class TestColumnwiseIngest:
             encode_file(csv_file('f,y\n"a\nb",1\n\nc,2\n'), schema, vocab)
 
     def test_plain_list_rows_rejected(self):
-        with pytest.raises(ContractError, match="Rows"):
+        with pytest.raises(ContractError, match="Table"):
             build_vocab_rows(["f", "y"], [["a", "1"], ["b"]], one_field_schema())
 
     def test_label_two_named(self, csv_file):
@@ -255,11 +299,12 @@ class TestReadTable:
             read_table(path)
 
     def test_equal_cells_share_one_string(self, csv_file):
-        _, rows = read_table(csv_file("f,g,y\nab,ab,1\ncd,ab,0\nab,cd,1\n"))
-        assert rows == [["ab", "ab", "1"], ["cd", "ab", "0"], ["ab", "cd", "1"]]
-        cells = [cell for row in rows for cell in row]
-        assert len({id(c) for c in cells}) == len(set(cells)) == 4
-        assert rows[0][0] is rows[2][0] and rows[0][2] is rows[2][2]
+        # each column codes its distinct texts in first-seen order
+        _, table = read_table(csv_file("f,g,y\nab,ab,1\ncd,ab,0\nab,cd,1\n"))
+        assert table.codes.dtype == np.uint32
+        assert table.codes.tolist() == [[0, 0, 0], [1, 0, 1], [0, 1, 0]]
+        assert table.texts == [["ab", "cd"], ["ab", "cd"], ["1", "0"]]
+        assert cells(table) == [["ab", "ab", "1"], ["cd", "ab", "0"], ["ab", "cd", "1"]]
 
     def test_header_only_file_names_file(self, tmp_path):
         path = tmp_path / "header.csv"
@@ -280,18 +325,18 @@ class TestReadTable:
             read_table(path)
 
     def test_rows_keep_their_start_lines(self, csv_file):
-        header, rows = read_table(csv_file('f,y\n"a\nb",1\n\nc,0\nd,1\n'))
-        assert header == ["f", "y"]
-        assert rows == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
-        assert rows.lines == [2, 5, 6]
+        header, table = read_table(csv_file('f,y\n"a\nb",1\n\nc,0\nd,1\n'))
+        assert header == ["f", "y"] and len(table) == 3
+        assert cells(table) == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
+        assert table.lines.tolist() == [2, 5, 6]
 
     def test_byte_order_mark_is_not_part_of_the_header(self, csv_file):
         # a UTF-8 BOM, as some spreadsheet exports write, leaves the first
         # column's name and every row's line number as without it
-        header, rows = read_table(csv_file('\ufefff,y\n"a\nb",1\n\nc,0\nd,1\n'))
+        header, table = read_table(csv_file('\ufefff,y\n"a\nb",1\n\nc,0\nd,1\n'))
         assert header == ["f", "y"]
-        assert rows == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
-        assert rows.lines == [2, 5, 6]
+        assert cells(table) == [["a\nb", "1"], ["c", "0"], ["d", "1"]]
+        assert table.lines.tolist() == [2, 5, 6]
         assert vocab_from(csv_file("\ufefff,y\na,1\nb,0\n"), one_field_schema()).sizes == [3]
         path = csv_file("\ufefff,y\na,1\n\nb\n")
         with pytest.raises(DataError,
@@ -299,12 +344,13 @@ class TestReadTable:
             read_table(path)
 
     def test_take_keeps_each_rows_line(self, csv_file):
-        _, rows = read_table(csv_file("f,y\na,1\n\nb,0\nc,1\n"))
-        picked = rows.take(np.array([2, 0]))
-        assert isinstance(picked, Rows)
-        assert picked == [["c", "1"], ["a", "1"]]
-        assert picked.lines == [5, 2]
-        assert rows.lines == [2, 4, 5]
+        _, table = read_table(csv_file("f,y\na,1\n\nb,0\nc,1\n"))
+        picked = table.take(np.array([2, 0]))
+        assert isinstance(picked, Table)
+        assert picked.codes.tolist() == [[2, 0], [0, 0]]  # the file's codes
+        assert cells(picked) == [["c", "1"], ["a", "1"]]
+        assert picked.lines.tolist() == [5, 2]
+        assert table.lines.tolist() == [2, 4, 5]
 
 
 class TestBatch:
@@ -408,12 +454,7 @@ class TestSynth:
         synth_write_csv(spec, tmp_path)
         before = (tmp_path / "train.csv").read_bytes()
 
-        def half_then_fail(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[:len(data) // 2])
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        monkeypatch.setattr(checkpoint, "open", AllButLastThenFail, raising=False)
         with pytest.raises(OSError, match="No space"):
             synth_write_csv(SynthSpec(n_rows=200, cardinalities=(4, 4),
                                       informative=(0,), seed=6), tmp_path)
@@ -421,6 +462,20 @@ class TestSynth:
         assert (tmp_path / "train.csv").read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "ground_truth.json", "test.csv", "train.csv", "valid.csv"]
+
+    def test_csv_writer_peaks_within_the_generators_peak(self, tmp_path):
+        # the CSV text is written in row blocks, never held whole
+        spec = SynthSpec(n_rows=100_000, cardinalities=(50,) * 8, informative=(0, 1))
+        tracemalloc.start()
+        try:
+            synth_generate(spec)
+            _, generate_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            synth_write_csv(spec, tmp_path)
+            _, write_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 1.1 * generate_peak, (write_peak, generate_peak)
 
     def test_split_sizes(self):
         spec = SynthSpec(n_rows=1000, cardinalities=(4, 4), informative=(0,), seed=1)

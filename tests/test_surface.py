@@ -30,7 +30,6 @@ PACKAGE = ROOT / "src" / "mmbattn"
 
 # Kept although only tests call them, each for the reason given.
 ORACLES = {
-    "index_of": "per-cell vocabulary lookup that encode_rows must match",
     "bce_loss": "graph-level BCE on probabilities, the oracle for bce_with_logits",
     "param_count": "closed-form attention parameter count, checked against the registry",
     "field_weights": "the paper's per-field importance readout, read by the planted "
